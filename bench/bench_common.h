@@ -68,14 +68,14 @@ RunStats RunSql(Env* env, const std::string& sql);
 /// Renders a ratio like 5/36 for series labels.
 std::string DayLabel(int days);
 
-/// One raw-scan measurement (row-at-a-time vs batch read path) destined for
+/// One raw-scan measurement of the batch read path destined for
 /// BENCH_scan.json. Every field describes ONE scan of the table: each
 /// logical row is counted exactly once, `rows / seconds == rows_per_sec`,
 /// and the meter delta is normalized by the iteration count (a pass-through
 /// batch therefore contributes its rows once, not once per timed iteration).
 struct ScanBenchEntry {
   std::string workload;  // "grid" | "tpch"
-  std::string path;      // "row" | "batch"
+  std::string path;      // "batch" (the one read path)
   uint64_t rows = 0;     // logical rows visited by one scan
   double seconds = 0;    // mean wall seconds for one scan
   double rows_per_sec = 0;

@@ -35,10 +35,10 @@ void BM_GridSelect2(benchmark::State& state, const std::string& kind) {
   }
 }
 
-// Raw storage scan of the big consumption table, row-at-a-time (the seed
-// read path, kept as ScanLegacyRows) vs the vectorized batch pipeline.
-// Feeds the row-vs-batch rows/sec comparison in BENCH_scan.json.
-void BM_RawScan(benchmark::State& state, const std::string& path) {
+// Raw storage scan of the big consumption table through the batch UNION
+// READ, for BENCH_scan.json (the deleted row path's historical figure is
+// kept in EXPERIMENTS.md).
+void BM_RawScan(benchmark::State& state) {
   Env env = MakeGridTableII("dualtable");
   auto entry = env.session->catalog()->Lookup("tj_gbsjwzl_mx");
   if (!entry.ok()) { state.SkipWithError("lookup failed"); return; }
@@ -52,30 +52,21 @@ void BM_RawScan(benchmark::State& state, const std::string& path) {
   for (auto _ : state) {
     dtl::Stopwatch watch;
     uint64_t n = 0;
-    if (path == "row") {
-      auto it = dual->ScanLegacyRows({});
-      if (!it.ok()) { state.SkipWithError("scan failed"); return; }
-      while ((*it)->Next()) {
-        benchmark::DoNotOptimize((*it)->row());
-        ++n;
-      }
-    } else {
-      auto it = dual->ScanBatches({});
-      if (!it.ok()) { state.SkipWithError("scan failed"); return; }
-      dtl::table::RowBatch batch;
-      while ((*it)->Next(&batch)) {
-        // Consume each logical row once: read every visible cell. Crediting
-        // whole batches (n += batch.size()) did no per-row work, so
-        // pass-through view batches multiplied straight into the rows/sec
-        // figure (a nonsensical ~1e9+ "view-flow" rate).
-        for (size_t i = 0; i < batch.size(); ++i) {
-          const size_t phys = batch.row_index(i);
-          for (size_t c = 0; c < batch.num_columns(); ++c) {
-            const dtl::Value& v = batch.column(c).at(phys);
-            checksum += v.is_int64() ? static_cast<uint64_t>(v.AsInt64()) : 1;
-          }
-          ++n;
+    auto it = dual->ScanBatches({});
+    if (!it.ok()) { state.SkipWithError("scan failed"); return; }
+    dtl::table::RowBatch batch;
+    while ((*it)->Next(&batch)) {
+      // Consume each logical row once: read every visible cell. Crediting
+      // whole batches (n += batch.size()) did no per-row work, so
+      // pass-through view batches multiplied straight into the rows/sec
+      // figure (a nonsensical ~1e9+ "view-flow" rate).
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const size_t phys = batch.row_index(i);
+        for (size_t c = 0; c < batch.num_columns(); ++c) {
+          const dtl::Value& v = batch.column(c).at(phys);
+          checksum += v.is_int64() ? static_cast<uint64_t>(v.AsInt64()) : 1;
         }
+        ++n;
       }
     }
     const double s = watch.ElapsedSeconds();
@@ -91,7 +82,7 @@ void BM_RawScan(benchmark::State& state, const std::string& path) {
 
   dtl::bench::ScanBenchEntry record;
   record.workload = "grid";
-  record.path = path;
+  record.path = "batch";
   record.rows = rows_per_scan;
   record.seconds = per_scan_s;
   record.rows_per_sec = static_cast<double>(rows_per_scan) / per_scan_s;
@@ -157,12 +148,7 @@ BENCHMARK(BM_ParallelScan)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime();
-BENCHMARK_CAPTURE(BM_RawScan, row_path, "row")
-    ->Unit(benchmark::kMillisecond)
-    ->UseManualTime();
-BENCHMARK_CAPTURE(BM_RawScan, batch_path, "batch")
-    ->Unit(benchmark::kMillisecond)
-    ->UseManualTime();
+BENCHMARK(BM_RawScan)->Unit(benchmark::kMillisecond)->UseManualTime();
 BENCHMARK_CAPTURE(BM_GridSelect1, hive, "hive")
     ->Unit(benchmark::kMillisecond)
     ->UseManualTime();

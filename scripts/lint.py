@@ -123,8 +123,8 @@ LATEST_SCANNER_RE = re.compile(r"\b(NewScanner|NewCellScanner|NewRowScanner)\s*\
 # generation (the generation-less overloads pin CurrentGeneration() per call,
 # which tears under a racing COMPACT).
 MASTER_SCAN_RE = re.compile(
-    r"\b(NewScanIterator|NewFileScanIterator|NewBatchScanIterator|"
-    r"NewFileBatchScanIterator|PlanMorsels|NewMorselBatchScanIterator)\s*\(")
+    r"\b(NewBatchScanIterator|NewFileBatchScanIterator|PlanMorsels|"
+    r"NewMorselBatchScanIterator)\s*\(")
 PINNED_ARG_RE = re.compile(r"gen|snapshot", re.I)
 
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "orc/reader.h"
+#include "table/scan_stats.h"
 
 namespace dtl::baseline {
 
@@ -13,19 +14,37 @@ constexpr int64_t kOpUpdate = 0;
 constexpr int64_t kOpDelete = 1;
 }  // namespace
 
-/// Merge-on-read iterator: base scan + preloaded delta map overlay.
+/// Merge-on-read iterator: base batch scan + preloaded delta map overlay.
+/// The base scan meters into `base_meter`, a private meter; only its pruning
+/// counters reach the caller's meter, when the scan ends.
 class AcidRowIterator : public table::RowIterator {
  public:
-  AcidRowIterator(std::unique_ptr<dual::MasterScanIterator> base,
+  AcidRowIterator(std::unique_ptr<table::ScanMeter> base_meter,
+                  std::unique_ptr<dual::MasterScanBatchIterator> base,
                   AcidTable::DeltaMap deltas, table::ScanSpec spec)
-      : base_(std::move(base)), deltas_(std::move(deltas)), spec_(std::move(spec)) {}
+      : base_meter_(std::move(base_meter)),
+        base_(std::move(base)),
+        deltas_(std::move(deltas)),
+        spec_(std::move(spec)) {}
+  ~AcidRowIterator() override {
+    (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter())
+        .Add(base_meter_->Snapshot().PruningOnly());
+  }
 
   bool Next() override {
-    while (base_->Next()) {
-      const uint64_t id = base_->record_id();
+    while (true) {
+      if (index_ >= batch_.size()) {
+        if (!base_->Next(&batch_)) {
+          status_ = base_->status();
+          return false;
+        }
+        index_ = 0;
+      }
+      const size_t i = index_++;
+      const uint64_t id = batch_.record_id(i);
       auto it = deltas_.find(id);
       if (it == deltas_.end()) {
-        row_ = base_->row();
+        batch_.MaterializeRow(i, &row_);
       } else if (it->second.deleted) {
         continue;
       } else {
@@ -35,8 +54,6 @@ class AcidRowIterator : public table::RowIterator {
       record_id_ = id;
       return true;
     }
-    status_ = base_->status();
-    return false;
   }
 
   const Row& row() const override { return row_; }
@@ -44,9 +61,12 @@ class AcidRowIterator : public table::RowIterator {
   const Status& status() const override { return status_; }
 
  private:
-  std::unique_ptr<dual::MasterScanIterator> base_;
+  std::unique_ptr<table::ScanMeter> base_meter_;  // outlives base_
+  std::unique_ptr<dual::MasterScanBatchIterator> base_;
   AcidTable::DeltaMap deltas_;
   table::ScanSpec spec_;
+  table::RowBatch batch_;
+  size_t index_ = 0;
   Row row_;
   uint64_t record_id_ = 0;
   Status status_;
@@ -141,10 +161,14 @@ Result<std::unique_ptr<table::RowIterator>> AcidTable::Scan(const table::ScanSpe
     base_spec.projection.clear();
     base_spec.bounds.clear();
   }
-  DTL_ASSIGN_OR_RETURN(auto base_it,
-                       base_->NewScanIterator(base_spec, /*apply_predicate=*/false));
-  return std::unique_ptr<table::RowIterator>(
-      new AcidRowIterator(std::move(base_it), std::move(deltas), spec));
+  auto base_meter = std::make_unique<table::ScanMeter>();
+  base_spec.meter = base_meter.get();
+  DTL_ASSIGN_OR_RETURN(auto base_it, base_->NewBatchScanIterator(
+                                         base_spec, /*apply_predicate=*/false,
+                                         table::kDefaultBatchRows,
+                                         dual::StripeReads::kUncached));
+  return std::unique_ptr<table::RowIterator>(new AcidRowIterator(
+      std::move(base_meter), std::move(base_it), std::move(deltas), spec));
 }
 
 Status AcidTable::InsertRows(const std::vector<Row>& rows) {
@@ -268,25 +292,11 @@ Status AcidTable::MajorCompact() {
   table::ScanSpec all;
   DTL_ASSIGN_OR_RETURN(auto it, Scan(all));
 
-  std::vector<dual::MasterFileInfo> new_files;
-  std::unique_ptr<dual::MasterFileWriter> writer;
-  while (it->Next()) {
-    if (writer == nullptr) {
-      DTL_ASSIGN_OR_RETURN(writer, base_->NewFileWriter());
-    }
-    DTL_RETURN_NOT_OK(writer->Append(it->row()));
-    if (writer->rows_written() >= options_.rewrite_file_rows) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-      writer.reset();
-    }
-  }
+  dual::RollingFileWriter out(base_.get(), options_.rewrite_file_rows);
+  while (it->Next()) DTL_RETURN_NOT_OK(out.Append(it->row()));
   DTL_RETURN_NOT_OK(it->status());
-  if (writer != nullptr) {
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files.push_back(std::move(info));
-  }
-  DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(new_files)));
+  DTL_RETURN_NOT_OK(out.Finish());
+  DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(out.files())));
   std::vector<std::string> old = std::move(delta_files_);
   delta_files_.clear();
   for (const std::string& path : old) DTL_RETURN_NOT_OK(fs_->Delete(path));

@@ -1,24 +1,8 @@
 #include "baseline/hive_table.h"
 
+#include "table/scan_stats.h"
+
 namespace dtl::baseline {
-
-namespace {
-
-/// Adapts MasterScanIterator to the storage RowIterator interface.
-class MasterRowIterator : public table::RowIterator {
- public:
-  explicit MasterRowIterator(std::unique_ptr<dual::MasterScanIterator> it)
-      : it_(std::move(it)) {}
-  bool Next() override { return it_->Next(); }
-  const Row& row() const override { return it_->row(); }
-  uint64_t record_id() const override { return it_->record_id(); }
-  const Status& status() const override { return it_->status(); }
-
- private:
-  std::unique_ptr<dual::MasterScanIterator> it_;
-};
-
-}  // namespace
 
 Result<std::shared_ptr<HiveTable>> HiveTable::Open(fs::SimFileSystem* fs,
                                                    dual::MetadataTable* metadata,
@@ -48,24 +32,6 @@ Result<std::unique_ptr<table::BatchIterator>> HiveTable::ScanBatches(
   return std::unique_ptr<table::BatchIterator>(std::move(it));
 }
 
-Result<std::vector<table::ScanSplit>> HiveTable::CreateSplits(const table::ScanSpec& spec) {
-  std::vector<table::ScanSplit> splits;
-  for (const dual::MasterFileInfo& info : storage_->files()) {
-    const uint64_t file_id = info.file_id;
-    HiveTable* self = this;
-    table::ScanSpec copy = spec;
-    splits.push_back(table::ScanSplit{
-        name_ + "/f_" + std::to_string(file_id),
-        [self, file_id, copy]() -> Result<std::unique_ptr<table::RowIterator>> {
-          DTL_ASSIGN_OR_RETURN(auto it, self->storage_->NewFileBatchScanIterator(
-                                            file_id, copy, /*apply_predicate=*/true));
-          return std::unique_ptr<table::RowIterator>(
-              new table::BatchToRowAdapter(std::move(it), copy.meter));
-        }});
-  }
-  return splits;
-}
-
 Status HiveTable::InsertRows(const std::vector<Row>& rows) {
   if (rows.empty()) return Status::OK();
   DTL_ASSIGN_OR_RETURN(auto writer, storage_->NewFileWriter());
@@ -75,59 +41,37 @@ Status HiveTable::InsertRows(const std::vector<Row>& rows) {
 }
 
 Status HiveTable::OverwriteRows(const std::vector<Row>& rows) {
-  std::vector<dual::MasterFileInfo> new_files;
-  if (!rows.empty()) {
-    std::unique_ptr<dual::MasterFileWriter> writer;
-    for (const Row& row : rows) {
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, storage_->NewFileWriter());
-      }
-      DTL_RETURN_NOT_OK(writer->Append(row));
-      if (writer->rows_written() >= options_.rewrite_file_rows) {
-        DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-        new_files.push_back(std::move(info));
-        writer.reset();
-      }
-    }
-    if (writer != nullptr) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-    }
-  }
-  return storage_->ReplaceAllFiles(std::move(new_files));
+  dual::RollingFileWriter out(storage_.get(), options_.rewrite_file_rows);
+  for (const Row& row : rows) DTL_RETURN_NOT_OK(out.Append(row));
+  DTL_RETURN_NOT_OK(out.Finish());
+  return storage_->ReplaceAllFiles(std::move(out.files()));
 }
 
 Result<uint64_t> HiveTable::Rewrite(const std::function<bool(Row*)>& transform) {
   // INSERT OVERWRITE: read every record and every column, write everything
-  // back — cost proportional to total data, not modified data.
+  // back — cost proportional to total data, not modified data. Like
+  // DualTable's statement-internal scans, the read bypasses the stripe cache
+  // and meters into a private meter.
+  table::ScanMeter statement_meter;
   table::ScanSpec all;
-  DTL_ASSIGN_OR_RETURN(auto it, storage_->NewScanIterator(all, /*apply_predicate=*/false));
+  all.meter = &statement_meter;
+  DTL_ASSIGN_OR_RETURN(auto it, storage_->NewBatchScanIterator(
+                                    all, /*apply_predicate=*/false,
+                                    table::kDefaultBatchRows, dual::StripeReads::kUncached));
 
-  std::vector<dual::MasterFileInfo> new_files;
-  std::unique_ptr<dual::MasterFileWriter> writer;
-  uint64_t rows_out = 0;
+  dual::RollingFileWriter out(storage_.get(), options_.rewrite_file_rows);
+  table::RowBatch batch;
   Row row;
-  while (it->Next()) {
-    row = it->row();
-    if (!transform(&row)) continue;
-    if (writer == nullptr) {
-      DTL_ASSIGN_OR_RETURN(writer, storage_->NewFileWriter());
-    }
-    DTL_RETURN_NOT_OK(writer->Append(row));
-    ++rows_out;
-    if (writer->rows_written() >= options_.rewrite_file_rows) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-      writer.reset();
+  while (it->Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &row);
+      if (transform(&row)) DTL_RETURN_NOT_OK(out.Append(row));
     }
   }
   DTL_RETURN_NOT_OK(it->status());
-  if (writer != nullptr) {
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files.push_back(std::move(info));
-  }
-  DTL_RETURN_NOT_OK(storage_->ReplaceAllFiles(std::move(new_files)));
-  return rows_out;
+  DTL_RETURN_NOT_OK(out.Finish());
+  DTL_RETURN_NOT_OK(storage_->ReplaceAllFiles(std::move(out.files())));
+  return out.rows();
 }
 
 Result<table::DmlResult> HiveTable::Update(

@@ -33,7 +33,6 @@ class HiveTable : public table::StorageTable {
   Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
   Result<std::unique_ptr<table::BatchIterator>> ScanBatches(
       const table::ScanSpec& spec) override;
-  Result<std::vector<table::ScanSplit>> CreateSplits(const table::ScanSpec& spec) override;
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 

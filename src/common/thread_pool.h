@@ -1,5 +1,5 @@
-// Fixed-size worker pool used by the MapReduce-like executor to run splits
-// in parallel, standing in for a cluster's task slots.
+// Fixed-size worker pool used by the morsel-parallel scan and parallel
+// COMPACT, standing in for a cluster's task slots.
 #pragma once
 
 #include <atomic>

@@ -227,43 +227,14 @@ table::ScanSpec DualTable::MasterSpecFor(const table::ScanSpec& spec,
   return master_spec;
 }
 
-Result<std::unique_ptr<UnionReadIterator>> DualTable::NewUnionRead(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(auto master_it,
-                       master_->NewScanIterator(snapshot->generation,
-                                                MasterSpecFor(spec, snapshot),
-                                                /*apply_predicate=*/false));
-  auto attached_it = attached_->NewScannerAt(snapshot->attached);
-  auto it = std::make_unique<UnionReadIterator>(std::move(master_it),
-                                                std::move(attached_it), spec.predicate,
-                                                schema_.num_fields());
-  it->AnchorSnapshot(snapshot);
-  return it;
-}
-
-Result<std::unique_ptr<UnionReadIterator>> DualTable::NewUnionReadForFile(
-    const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(
-      auto master_it,
-      master_->NewFileScanIterator(snapshot->generation, file_id,
-                                   MasterSpecFor(spec, snapshot),
-                                   /*apply_predicate=*/false));
-  auto attached_it = attached_->NewScannerAt(
-      snapshot->attached, MakeRecordId(file_id, 0), MakeRecordId(file_id + 1, 0));
-  auto it = std::make_unique<UnionReadIterator>(std::move(master_it),
-                                                std::move(attached_it), spec.predicate,
-                                                schema_.num_fields());
-  it->AnchorSnapshot(snapshot);
-  return it;
-}
-
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatch(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec, uint64_t as_of) {
+    const SnapshotPtr& snapshot, const table::ScanSpec& spec, StripeReads reads,
+    uint64_t as_of) {
   DTL_ASSIGN_OR_RETURN(auto master_it,
                        master_->NewBatchScanIterator(snapshot->generation,
                                                      MasterSpecFor(spec, snapshot),
                                                      /*apply_predicate=*/false,
-                                                     options_.scan_batch_rows));
+                                                     options_.scan_batch_rows, reads));
   auto attached_it =
       attached_->NewScannerAt(snapshot->attached, 0, UINT64_MAX, as_of);
   auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
@@ -275,13 +246,14 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatch(
 }
 
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForFile(
-    const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec) {
+    const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec,
+    StripeReads reads) {
   DTL_ASSIGN_OR_RETURN(
       auto master_it,
       master_->NewFileBatchScanIterator(snapshot->generation, file_id,
                                         MasterSpecFor(spec, snapshot),
                                         /*apply_predicate=*/false,
-                                        options_.scan_batch_rows));
+                                        options_.scan_batch_rows, reads));
   auto attached_it = attached_->NewScannerAt(
       snapshot->attached, MakeRecordId(file_id, 0), MakeRecordId(file_id + 1, 0));
   auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
@@ -292,21 +264,11 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForF
   return it;
 }
 
-Result<std::vector<ScanMorsel>> DualTable::PlanScanMorsels(const table::ScanSpec& spec,
-                                                           size_t stripes_per_morsel) {
-  return PlanScanMorselsAt(AcquireSnapshot(), spec, stripes_per_morsel);
-}
-
 Result<std::vector<ScanMorsel>> DualTable::PlanScanMorselsAt(
     const SnapshotPtr& snapshot, const table::ScanSpec& spec,
     size_t stripes_per_morsel) {
   return master_->PlanMorsels(snapshot->generation, MasterSpecFor(spec, snapshot),
                               stripes_per_morsel);
-}
-
-Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForMorsel(
-    const ScanMorsel& morsel, const table::ScanSpec& spec, table::ScanMeter* meter) {
-  return NewUnionReadBatchForMorselAt(AcquireSnapshot(), morsel, spec, meter);
 }
 
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForMorselAt(
@@ -377,13 +339,9 @@ Result<std::unique_ptr<table::RowIterator>> DualTable::Scan(const table::ScanSpe
 
 Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAt(
     const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  if (options_.enable_batch_scan) {
-    DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
-    return std::unique_ptr<table::RowIterator>(std::make_unique<table::BatchToRowAdapter>(
-        ObserveUnionReadRows(std::move(it)), spec.meter));
-  }
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
-  return std::unique_ptr<table::RowIterator>(std::move(it));
+  DTL_ASSIGN_OR_RETURN(auto it, ScanBatchesAt(snapshot, spec));
+  return std::unique_ptr<table::RowIterator>(
+      std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
 }
 
 Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatches(
@@ -393,68 +351,37 @@ Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatches(
 
 Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatchesAt(
     const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  if (!options_.enable_batch_scan) {
-    // Row-at-a-time fallback, built directly from the snapshot so the
-    // batch/row configuration switch never changes visibility semantics.
-    DTL_ASSIGN_OR_RETURN(auto rows, NewUnionRead(snapshot, spec));
-    return std::unique_ptr<table::BatchIterator>(std::make_unique<table::RowToBatchAdapter>(
-        std::move(rows), schema_.num_fields(), options_.scan_batch_rows, spec.meter));
-  }
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
+  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec, StripeReads::kCached));
   return ObserveUnionReadRows(std::move(it));
-}
-
-Result<std::unique_ptr<table::RowIterator>> DualTable::ScanLegacyRows(
-    const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(AcquireSnapshot(), spec));
-  return std::unique_ptr<table::RowIterator>(std::move(it));
 }
 
 Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAsOf(
     const table::ScanSpec& spec, uint64_t as_of) {
-  SnapshotPtr snapshot = AcquireSnapshot();
-  if (options_.enable_batch_scan) {
-    DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec, as_of));
-    return std::unique_ptr<table::RowIterator>(
-        std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
-  }
-  DTL_ASSIGN_OR_RETURN(auto master_it,
-                       master_->NewScanIterator(snapshot->generation,
-                                                MasterSpecFor(spec, snapshot),
-                                                /*apply_predicate=*/false));
-  auto attached_it =
-      attached_->NewScannerAt(snapshot->attached, 0, UINT64_MAX, as_of);
-  auto it = std::make_unique<UnionReadIterator>(std::move(master_it),
-                                                std::move(attached_it), spec.predicate,
-                                                schema_.num_fields());
-  it->AnchorSnapshot(snapshot);
-  return std::unique_ptr<table::RowIterator>(std::move(it));
+  DTL_ASSIGN_OR_RETURN(
+      auto it, NewUnionReadBatch(AcquireSnapshot(), spec, StripeReads::kCached, as_of));
+  return std::unique_ptr<table::RowIterator>(
+      std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
 }
 
-Result<std::vector<table::ScanSplit>> DualTable::CreateSplits(const table::ScanSpec& spec) {
-  // One snapshot shared by every split: the split set and each split's scan
-  // agree on the file set, and a COMPACT between CreateSplits and the last
-  // split's execution cannot tear the view.
-  SnapshotPtr snapshot = AcquireSnapshot();
-  std::vector<table::ScanSplit> splits;
-  for (const MasterFileInfo& info : snapshot->generation->files()) {
-    const uint64_t file_id = info.file_id;
-    DualTable* self = this;
-    table::ScanSpec copy = spec;
-    splits.push_back(table::ScanSplit{
-        name_ + "/f_" + std::to_string(file_id),
-        [self, snapshot, file_id, copy]() -> Result<std::unique_ptr<table::RowIterator>> {
-          if (self->options_.enable_batch_scan) {
-            DTL_ASSIGN_OR_RETURN(auto it,
-                                 self->NewUnionReadBatchForFile(snapshot, file_id, copy));
-            return std::unique_ptr<table::RowIterator>(
-                std::make_unique<table::BatchToRowAdapter>(std::move(it), copy.meter));
-          }
-          DTL_ASSIGN_OR_RETURN(auto it, self->NewUnionReadForFile(snapshot, file_id, copy));
-          return std::unique_ptr<table::RowIterator>(std::move(it));
-        }});
+Status DualTable::ScanInternal(const SnapshotPtr& snapshot, const table::ScanSpec& spec,
+                               std::optional<uint64_t> file_id,
+                               const std::function<Status(const table::RowBatch&)>& consume) {
+  table::ScanMeter statement_meter;
+  table::ScanSpec local = spec;
+  local.meter = &statement_meter;
+  std::unique_ptr<UnionReadBatchIterator> it;
+  if (file_id.has_value()) {
+    DTL_ASSIGN_OR_RETURN(
+        it, NewUnionReadBatchForFile(snapshot, *file_id, local, StripeReads::kUncached));
+  } else {
+    DTL_ASSIGN_OR_RETURN(it, NewUnionReadBatch(snapshot, local, StripeReads::kUncached));
   }
-  return splits;
+  table::RowBatch batch;
+  while (it->Next(&batch)) DTL_RETURN_NOT_OK(consume(batch));
+  DTL_RETURN_NOT_OK(it->status());
+  (spec.meter != nullptr ? *spec.meter : table::GlobalScanMeter())
+      .Add(statement_meter.Snapshot().PruningOnly());
+  return Status::OK();
 }
 
 Status DualTable::InsertRows(const std::vector<Row>& rows) {
@@ -485,26 +412,10 @@ Status DualTable::InsertRows(const std::vector<Row>& rows) {
 
 Status DualTable::OverwriteRows(const std::vector<Row>& rows) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  std::vector<MasterFileInfo> new_files;
-  if (!rows.empty()) {
-    std::unique_ptr<MasterFileWriter> writer;
-    for (const Row& row : rows) {
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-      }
-      DTL_RETURN_NOT_OK(writer->Append(row));
-      if (writer->rows_written() >= options_.rewrite_file_rows) {
-        DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-        new_files.push_back(std::move(info));
-        writer.reset();
-      }
-    }
-    if (writer != nullptr) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-    }
-  }
-  return PublishRewrite(std::move(new_files));
+  RollingFileWriter out(master_.get(), options_.rewrite_file_rows);
+  for (const Row& row : rows) DTL_RETURN_NOT_OK(out.Append(row));
+  DTL_RETURN_NOT_OK(out.Finish());
+  return PublishRewrite(std::move(out.files()));
 }
 
 table::ScanSpec DualTable::DmlScanSpec(
@@ -523,13 +434,6 @@ table::ScanSpec DualTable::DmlScanSpec(
   return spec;
 }
 
-double DualTable::ResolveRatio(std::optional<double> hint) const {
-  if (hint.has_value()) return std::clamp(*hint, 0.0, 1.0);
-  auto hist = metadata_->HistoricalModificationRatio(name_,
-                                                     options_.default_modification_ratio);
-  return hist.ok() ? std::clamp(*hist, 0.0, 1.0) : options_.default_modification_ratio;
-}
-
 double DualTable::AvgRowBytes() const {
   const uint64_t rows = master_->TotalRows();
   if (rows == 0) return 1.0;
@@ -544,6 +448,52 @@ PlanDecision DualTable::PreviewUpdateDecision(double alpha) const {
 PlanDecision DualTable::PreviewDeleteDecision(double beta) const {
   std::lock_guard<std::mutex> lock(cost_model_mu_);
   return cost_model_.DecideDelete(master_->TotalBytes(), beta, AvgRowBytes());
+}
+
+const char* RatioSourceName(RatioSource source) {
+  switch (source) {
+    case RatioSource::kHint:
+      return "WITH RATIO hint";
+    case RatioSource::kHistory:
+      return "history";
+    case RatioSource::kDefault:
+      return "default";
+  }
+  return "?";
+}
+
+DmlPlanChoice DualTable::DecideDmlPlan(DmlKind kind,
+                                       std::optional<double> ratio_hint) const {
+  DmlPlanChoice choice;
+  switch (options_.plan_mode) {
+    case DualTableOptions::PlanMode::kForceEdit:
+      choice.plan = table::DmlPlan::kEdit;
+      return choice;
+    case DualTableOptions::PlanMode::kForceOverwrite:
+      choice.plan = table::DmlPlan::kOverwrite;
+      return choice;
+    case DualTableOptions::PlanMode::kCostModel:
+      break;
+  }
+  choice.cost_model = true;
+  if (ratio_hint.has_value()) {
+    choice.ratio = std::clamp(*ratio_hint, 0.0, 1.0);
+    choice.ratio_source = RatioSource::kHint;
+  } else {
+    // Recorded ratios lie in [0, 1], so a negative fallback marks "no history".
+    auto hist = metadata_->HistoricalModificationRatio(name_, -1.0);
+    if (hist.ok() && *hist >= 0) {
+      choice.ratio = std::clamp(*hist, 0.0, 1.0);
+      choice.ratio_source = RatioSource::kHistory;
+    } else {
+      choice.ratio = options_.default_modification_ratio;
+      choice.ratio_source = RatioSource::kDefault;
+    }
+  }
+  choice.decision = kind == DmlKind::kUpdate ? PreviewUpdateDecision(choice.ratio)
+                                             : PreviewDeleteDecision(choice.ratio);
+  choice.plan = choice.decision.plan;
+  return choice;
 }
 
 CostModelParams DualTable::cost_model_params() const {
@@ -561,35 +511,16 @@ Result<table::DmlResult> DualTable::UpdateWithHint(
     std::optional<double> ratio_hint) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (assignments.empty()) return Status::InvalidArgument("UPDATE with no assignments");
-
-  table::DmlPlan plan = table::DmlPlan::kEdit;
-  PlanDecision decision;
-  double ratio = 0;
-  bool audited = false;
-  switch (options_.plan_mode) {
-    case DualTableOptions::PlanMode::kForceEdit:
-      plan = table::DmlPlan::kEdit;
-      break;
-    case DualTableOptions::PlanMode::kForceOverwrite:
-      plan = table::DmlPlan::kOverwrite;
-      break;
-    case DualTableOptions::PlanMode::kCostModel:
-      ratio = ResolveRatio(ratio_hint);
-      decision = PreviewUpdateDecision(ratio);
-      plan = decision.plan;
-      audited = options_.cost_audit != nullptr;
-      break;
-  }
-  last_plan_ = plan;
+  const DmlPlanChoice choice = DecideDmlPlan(DmlKind::kUpdate, ratio_hint);
+  last_plan_ = choice.plan;
 
   const fs::IoSnapshot io_before = fs_->meter()->Snapshot();
   Stopwatch watch;
-  Result<table::DmlResult> result = plan == table::DmlPlan::kEdit
+  Result<table::DmlResult> result = choice.plan == table::DmlPlan::kEdit
                                         ? ExecuteEditUpdate(filter, assignments)
                                         : ExecuteOverwriteUpdate(filter, assignments);
   if (result.ok()) {
-    RecordDmlObservation("UPDATE", plan, decision, ratio, ratio_hint.has_value(),
-                         audited, *result, watch.ElapsedSeconds(), io_before);
+    RecordDmlObservation("UPDATE", choice, *result, watch.ElapsedSeconds(), io_before);
   }
   if (result.ok() && result->rows_scanned > 0) {
     // Propagate metadata failures: a silently stale modification ratio would
@@ -610,9 +541,7 @@ Result<table::DmlResult> DualTable::ExecuteEditUpdate(
   // matching record put the new field values into the attached table. The
   // scan reads from a snapshot acquired at statement start, so the
   // statement's own puts can never feed back into its scan.
-  table::ScanSpec spec = DmlScanSpec(filter, assignments);
   SnapshotPtr snapshot = AcquireSnapshot();
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
   table::DmlResult result;
   result.plan = table::DmlPlan::kEdit;
   struct PendingUpdate {
@@ -621,14 +550,20 @@ Result<table::DmlResult> DualTable::ExecuteEditUpdate(
     Value value;
   };
   std::vector<PendingUpdate> pending;
-  while (it->Next()) {
-    ++result.rows_matched;  // predicate applied inside the union read
-    for (const table::Assignment& a : assignments) {
-      pending.push_back(PendingUpdate{it->record_id(), static_cast<uint32_t>(a.column),
-                                      a.compute(it->row())});
+  Row row;
+  auto collect_updates = [&](const table::RowBatch& batch) -> Status {
+    result.rows_matched += batch.size();  // the predicate ran inside the union read
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &row);  // SET expressions evaluate over rows
+      for (const table::Assignment& a : assignments) {
+        pending.push_back(PendingUpdate{batch.record_id(i),
+                                        static_cast<uint32_t>(a.column), a.compute(row)});
+      }
     }
-  }
-  DTL_RETURN_NOT_OK(it->status());
+    return Status::OK();
+  };
+  DTL_RETURN_NOT_OK(ScanInternal(snapshot, DmlScanSpec(filter, assignments), std::nullopt,
+                                 collect_updates));
   if (index_ != nullptr) {
     // Index entries for the new values go in (and sync) before the attached
     // cells: a crash in between leaves extra entries that lookups verify
@@ -660,35 +595,21 @@ Result<uint64_t> DualTable::RewriteMaster(
   // Stream the merged view into a staged new master generation. The rewrite
   // folds deltas up to its snapshot's commit timestamp; writers are
   // serialized under mu_, so nothing can commit past it before the publish.
-  SnapshotPtr snapshot = AcquireSnapshot();
-  table::ScanSpec all;  // every column, no predicate
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, all));
-
-  std::vector<MasterFileInfo> new_files;
-  std::unique_ptr<MasterFileWriter> writer;
-  uint64_t rows_out = 0;
+  RollingFileWriter out(master_.get(), options_.rewrite_file_rows);
   Row row;
-  while (it->Next()) {
-    row = it->row();
-    if (!transform(it->record_id(), &row)) continue;
-    if (writer == nullptr) {
-      DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
+  auto rewrite = [&](const table::RowBatch& batch) -> Status {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &row);
+      if (transform(batch.record_id(i), &row)) DTL_RETURN_NOT_OK(out.Append(row));
     }
-    DTL_RETURN_NOT_OK(writer->Append(row));
-    ++rows_out;
-    if (writer->rows_written() >= options_.rewrite_file_rows) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-      writer.reset();
-    }
-  }
-  DTL_RETURN_NOT_OK(it->status());
-  if (writer != nullptr) {
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files.push_back(std::move(info));
-  }
-  DTL_RETURN_NOT_OK(PublishRewrite(std::move(new_files)));
-  return rows_out;
+    return Status::OK();
+  };
+  // Every column, no predicate.
+  DTL_RETURN_NOT_OK(
+      ScanInternal(AcquireSnapshot(), table::ScanSpec{}, std::nullopt, rewrite));
+  DTL_RETURN_NOT_OK(out.Finish());
+  DTL_RETURN_NOT_OK(PublishRewrite(std::move(out.files())));
+  return out.rows();
 }
 
 Result<table::DmlResult> DualTable::ExecuteOverwriteUpdate(
@@ -718,34 +639,16 @@ Result<table::DmlResult> DualTable::Delete(const table::ScanSpec& filter) {
 Result<table::DmlResult> DualTable::DeleteWithHint(const table::ScanSpec& filter,
                                                    std::optional<double> ratio_hint) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  table::DmlPlan plan = table::DmlPlan::kEdit;
-  PlanDecision decision;
-  double ratio = 0;
-  bool audited = false;
-  switch (options_.plan_mode) {
-    case DualTableOptions::PlanMode::kForceEdit:
-      plan = table::DmlPlan::kEdit;
-      break;
-    case DualTableOptions::PlanMode::kForceOverwrite:
-      plan = table::DmlPlan::kOverwrite;
-      break;
-    case DualTableOptions::PlanMode::kCostModel:
-      ratio = ResolveRatio(ratio_hint);
-      decision = PreviewDeleteDecision(ratio);
-      plan = decision.plan;
-      audited = options_.cost_audit != nullptr;
-      break;
-  }
-  last_plan_ = plan;
+  const DmlPlanChoice choice = DecideDmlPlan(DmlKind::kDelete, ratio_hint);
+  last_plan_ = choice.plan;
 
   const fs::IoSnapshot io_before = fs_->meter()->Snapshot();
   Stopwatch watch;
-  Result<table::DmlResult> result = plan == table::DmlPlan::kEdit
+  Result<table::DmlResult> result = choice.plan == table::DmlPlan::kEdit
                                         ? ExecuteEditDelete(filter)
                                         : ExecuteOverwriteDelete(filter);
   if (result.ok()) {
-    RecordDmlObservation("DELETE", plan, decision, ratio, ratio_hint.has_value(),
-                         audited, *result, watch.ElapsedSeconds(), io_before);
+    RecordDmlObservation("DELETE", choice, *result, watch.ElapsedSeconds(), io_before);
   }
   if (result.ok() && result->rows_scanned > 0) {
     // Propagate metadata failures (see UpdateWithHint).
@@ -762,16 +665,18 @@ Result<table::DmlResult> DualTable::DeleteWithHint(const table::ScanSpec& filter
 Result<table::DmlResult> DualTable::ExecuteEditDelete(const table::ScanSpec& filter) {
   // The paper's DELETE UDTF: put a DELETE marker for each matching record.
   // Snapshot semantics match ExecuteEditUpdate.
-  table::ScanSpec spec = DmlScanSpec(filter, {});
   SnapshotPtr snapshot = AcquireSnapshot();
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
   table::DmlResult result;
   result.plan = table::DmlPlan::kEdit;
-  while (it->Next()) {
-    ++result.rows_matched;
-    DTL_RETURN_NOT_OK(attached_->PutDeleteMarker(it->record_id()));
-  }
-  DTL_RETURN_NOT_OK(it->status());
+  auto mark_deleted = [&](const table::RowBatch& batch) -> Status {
+    result.rows_matched += batch.size();  // the predicate ran inside the union read
+    for (size_t i = 0; i < batch.size(); ++i) {
+      DTL_RETURN_NOT_OK(attached_->PutDeleteMarker(batch.record_id(i)));
+    }
+    return Status::OK();
+  };
+  DTL_RETURN_NOT_OK(
+      ScanInternal(snapshot, DmlScanSpec(filter, {}), std::nullopt, mark_deleted));
   // Same durability contract as ExecuteEditUpdate: sync before the ack.
   DTL_RETURN_NOT_OK(attached_->Sync());
   PublishEditCommit();
@@ -807,39 +712,26 @@ Result<uint64_t> DualTable::RewriteMasterParallel() {
   // rename remains the single commit point and a crash anywhere before it
   // keeps the old generation intact.
   SnapshotPtr snapshot = AcquireSnapshot();
-  struct FileJob {
-    uint64_t file_id = 0;
-    std::vector<MasterFileInfo> new_files;
-    uint64_t rows_out = 0;
-  };
   const std::vector<MasterFileInfo>& master_files = snapshot->generation->files();
-  std::vector<FileJob> jobs(master_files.size());
-  for (size_t i = 0; i < jobs.size(); ++i) jobs[i].file_id = master_files[i].file_id;
+  std::vector<RollingFileWriter> outs;
+  outs.reserve(master_files.size());  // no reallocation: jobs hold pointers
 
   TaskGroup group(options_.pool);
-  for (FileJob& job : jobs) {
-    group.Spawn([this, &job, &snapshot]() -> Status {
-      table::ScanSpec all;  // every column, no predicate
-      DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadForFile(snapshot, job.file_id, all));
-      std::unique_ptr<MasterFileWriter> writer;
-      while (it->Next()) {
-        if (writer == nullptr) {
-          DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
+  for (const MasterFileInfo& file : master_files) {
+    RollingFileWriter* out = &outs.emplace_back(master_.get(), options_.rewrite_file_rows);
+    const uint64_t file_id = file.file_id;
+    group.Spawn([this, out, file_id, &snapshot]() -> Status {
+      Row row;
+      auto rewrite = [&](const table::RowBatch& batch) -> Status {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          batch.MaterializeRow(i, &row);
+          DTL_RETURN_NOT_OK(out->Append(row));
         }
-        DTL_RETURN_NOT_OK(writer->Append(it->row()));
-        ++job.rows_out;
-        if (writer->rows_written() >= options_.rewrite_file_rows) {
-          DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-          job.new_files.push_back(std::move(info));
-          writer.reset();
-        }
-      }
-      DTL_RETURN_NOT_OK(it->status());
-      if (writer != nullptr) {
-        DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-        job.new_files.push_back(std::move(info));
-      }
-      return Status::OK();
+        return Status::OK();
+      };
+      // Every column, no predicate.
+      DTL_RETURN_NOT_OK(ScanInternal(snapshot, table::ScanSpec{}, file_id, rewrite));
+      return out->Finish();
     });
   }
   Status st = group.Wait();
@@ -847,8 +739,8 @@ Result<uint64_t> DualTable::RewriteMasterParallel() {
     // Staged files from jobs that finished are orphans (never committed to
     // the manifest); delete them now rather than waiting for the next
     // Open()'s garbage collection.
-    for (const FileJob& job : jobs) {
-      for (const MasterFileInfo& info : job.new_files) {
+    for (RollingFileWriter& out : outs) {
+      for (const MasterFileInfo& info : out.files()) {
         DTL_IGNORE_STATUS(fs_->Delete(info.path),
                           "failed COMPACT cleanup; next Open() garbage-collects");
       }
@@ -858,9 +750,9 @@ Result<uint64_t> DualTable::RewriteMasterParallel() {
 
   std::vector<MasterFileInfo> new_files;
   uint64_t rows_out = 0;
-  for (FileJob& job : jobs) {
-    rows_out += job.rows_out;
-    for (MasterFileInfo& info : job.new_files) new_files.push_back(std::move(info));
+  for (RollingFileWriter& out : outs) {
+    rows_out += out.rows();
+    for (MasterFileInfo& info : out.files()) new_files.push_back(std::move(info));
   }
   DTL_RETURN_NOT_OK(PublishRewrite(std::move(new_files)));
   return rows_out;
@@ -1290,21 +1182,21 @@ void DualTable::ReclaimAttachedGarbage() {
                     "stale index meta only costs an Open-time rebuild");
 }
 
-void DualTable::RecordDmlObservation(const char* statement, table::DmlPlan plan,
-                                     const PlanDecision& decision, double ratio,
-                                     bool ratio_from_hint, bool audited,
+void DualTable::RecordDmlObservation(const char* statement, const DmlPlanChoice& choice,
                                      const table::DmlResult& result,
                                      double wall_seconds,
                                      const fs::IoSnapshot& io_before) {
+  const table::DmlPlan plan = choice.plan;
+  const PlanDecision& decision = choice.decision;
   obs::Histogram* hist =
       plan == table::DmlPlan::kEdit ? edit_hist_ : overwrite_hist_;
   if (hist != nullptr) hist->ObserveSeconds(wall_seconds);
-  if (!audited) return;
+  if (!choice.cost_model || options_.cost_audit == nullptr) return;
   obs::CostAuditRecord record;
   record.table = name_;
   record.statement = statement;
-  record.ratio = ratio;
-  record.ratio_from_hint = ratio_from_hint;
+  record.ratio = choice.ratio;
+  record.ratio_from_hint = choice.ratio_source == RatioSource::kHint;
   record.predicted_edit_seconds = decision.cost_edit_seconds;
   record.predicted_overwrite_seconds = decision.cost_overwrite_seconds;
   record.predicted_plan = table::DmlPlanName(decision.plan);
@@ -1371,13 +1263,17 @@ Status DualTable::RebuildIndex() {
   // snapshot that can still be acquired — pre-crash history is gone.
   index_->CountRebuild();
   DTL_RETURN_NOT_OK(index_->ClearAll());
-  SnapshotPtr snapshot = AcquireSnapshot();
-  table::ScanSpec all;  // every column, no predicate
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, all));
-  while (it->Next()) {
-    DTL_RETURN_NOT_OK(index_->AddRow(it->row(), it->record_id()));
-  }
-  DTL_RETURN_NOT_OK(it->status());
+  Row row;
+  auto add_rows = [&](const table::RowBatch& batch) -> Status {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &row);
+      DTL_RETURN_NOT_OK(index_->AddRow(row, batch.record_id(i)));
+    }
+    return Status::OK();
+  };
+  // Every column, no predicate.
+  DTL_RETURN_NOT_OK(
+      ScanInternal(AcquireSnapshot(), table::ScanSpec{}, std::nullopt, add_rows));
   DTL_RETURN_NOT_OK(index_->Sync());
   return CommitIndexMeta();
 }

@@ -5,6 +5,7 @@
 // folds the attached table back into a new master generation.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -94,6 +95,24 @@ struct IncrementalCompactStats {
   std::string ToString() const;
 };
 
+/// The two DML statements the §IV cost model plans.
+enum class DmlKind { kUpdate, kDelete };
+
+/// Where a DML statement's modification ratio came from.
+enum class RatioSource { kHint, kHistory, kDefault };
+const char* RatioSourceName(RatioSource source);
+
+/// The plan one UPDATE/DELETE takes and why: forced by the plan mode, or the
+/// cost model's decision at the resolved ratio. Execution and EXPLAIN both
+/// get it from DualTable::DecideDmlPlan, so EXPLAIN names the plan that runs.
+struct DmlPlanChoice {
+  table::DmlPlan plan = table::DmlPlan::kEdit;
+  bool cost_model = false;  // false: forced by DualTableOptions::plan_mode
+  double ratio = 0;         // resolved ratio; meaningful when cost_model
+  RatioSource ratio_source = RatioSource::kDefault;
+  PlanDecision decision;    // meaningful when cost_model
+};
+
 struct DualTableOptions {
   orc::WriterOptions writer_options;
   kv::KvStoreOptions attached_options;  // dir is derived from the table name
@@ -134,11 +153,6 @@ struct DualTableOptions {
   /// model. Requires `cost_audit` to be wired (the audit record carries the
   /// modelled actuals the loop feeds on).
   double cost_calibration_gain = 0.0;
-
-  /// Route Scan/ScanBatches/CreateSplits/ScanAsOf through the vectorized
-  /// UNION READ (RowBatch pipeline). Off = the original row-at-a-time merge,
-  /// kept as the comparison baseline (see ScanLegacyRows).
-  bool enable_batch_scan = true;
 
   /// Rows per RowBatch emitted by the vectorized scan. Small values exercise
   /// batch/stripe boundary handling in tests.
@@ -217,7 +231,6 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
   Result<std::unique_ptr<table::BatchIterator>> ScanBatches(
       const table::ScanSpec& spec) override;
-  Result<std::vector<table::ScanSplit>> CreateSplits(const table::ScanSpec& spec) override;
   Status InsertRows(const std::vector<Row>& rows) override;
   /// INSERT OVERWRITE TABLE: a fresh master generation + empty attached.
   Status OverwriteRows(const std::vector<Row>& rows) override;
@@ -246,12 +259,20 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<table::BatchIterator>> ScanBatchesAt(const SnapshotPtr& snapshot,
                                                               const table::ScanSpec& spec);
 
-  /// Morsel planning against a pinned snapshot; pair with
-  /// NewUnionReadBatchForMorselAt on the SAME snapshot so planned morsels
-  /// and per-morsel scans agree on the file set.
+  /// Splits the snapshot's view into stripe-aligned morsels for a parallel
+  /// scan (see MasterTable::PlanMorsels), with the same bounds treatment as
+  /// a serial scan, so morsels cover exactly the stripes a serial scan would
+  /// decode. Pair with NewUnionReadBatchForMorselAt on the SAME snapshot so
+  /// planned morsels and per-morsel scans agree on the file set.
   Result<std::vector<ScanMorsel>> PlanScanMorselsAt(const SnapshotPtr& snapshot,
                                                     const table::ScanSpec& spec,
                                                     size_t stripes_per_morsel);
+  /// UNION READ over one morsel: the master stripe range merged with the
+  /// attached modifications in the morsel's record-ID window — the map-side
+  /// InputFormat merge of the paper, one per morsel. `meter` (worker-local;
+  /// may be null for the global meter) receives the morsel's scan counts.
+  /// Order-insensitive consumers may run many of these concurrently; within
+  /// a morsel, batches arrive in record-ID order.
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorselAt(
       const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
       table::ScanMeter* meter);
@@ -313,25 +334,6 @@ class DualTable : public table::StorageTable {
   /// True when the attached table exceeds the compaction threshold.
   bool NeedsCompaction() const;
 
-  /// Splits the up-to-date view into stripe-aligned morsels for a parallel
-  /// scan (see MasterTable::PlanMorsels). Uses the same bounds treatment as
-  /// a serial scan, so morsels cover exactly the stripes a serial scan would
-  /// decode.
-  Result<std::vector<ScanMorsel>> PlanScanMorsels(const table::ScanSpec& spec,
-                                                  size_t stripes_per_morsel);
-
-  /// UNION READ over one morsel: the master stripe range merged with the
-  /// attached modifications in the morsel's record-ID window. `meter`
-  /// (worker-local; may be null for the global meter) receives the morsel's
-  /// scan counts. Order-insensitive consumers may run many of these
-  /// concurrently; within a morsel, batches arrive in record-ID order.
-  Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorsel(
-      const ScanMorsel& morsel, const table::ScanSpec& spec, table::ScanMeter* meter);
-
-  /// The original row-at-a-time UNION READ, regardless of enable_batch_scan.
-  /// Kept for the batch-vs-row equivalence tests and the scan benchmarks.
-  Result<std::unique_ptr<table::RowIterator>> ScanLegacyRows(const table::ScanSpec& spec);
-
   /// Snapshot read: the table as it looked when the attached table's clock
   /// was at `as_of` (see AttachedTable::LastTimestamp). Built on the HBase
   /// multi-version feature the paper highlights in §V-C; only history since
@@ -343,6 +345,11 @@ class DualTable : public table::StorageTable {
   /// (exposed for the cost-model ablation bench).
   PlanDecision PreviewUpdateDecision(double alpha) const;
   PlanDecision PreviewDeleteDecision(double beta) const;
+
+  /// The plan UpdateWithHint/DeleteWithHint would take right now with this
+  /// hint: the plan mode, else the cost model at the hinted ratio or the
+  /// metadata table's ratio history (the configured default without one).
+  DmlPlanChoice DecideDmlPlan(DmlKind kind, std::optional<double> ratio_hint) const;
 
   // --- Secondary index (point-lookup serving tier) ---
 
@@ -384,16 +391,25 @@ class DualTable : public table::StorageTable {
         cost_model_(cluster, options_.cost_params) {}
 
   // All internal UNION READ constructors read from an explicit snapshot;
-  // there is no latest-visible read path left (lint rule 8).
-  Result<std::unique_ptr<UnionReadIterator>> NewUnionRead(const SnapshotPtr& snapshot,
-                                                          const table::ScanSpec& spec);
-  Result<std::unique_ptr<UnionReadIterator>> NewUnionReadForFile(
-      const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec);
+  // there is no latest-visible read path left (lint rule 8). `reads` is
+  // fixed per call site: user scans kCached, statement-internal kUncached.
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatch(
-      const SnapshotPtr& snapshot, const table::ScanSpec& spec,
+      const SnapshotPtr& snapshot, const table::ScanSpec& spec, StripeReads reads,
       uint64_t as_of = UINT64_MAX);
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForFile(
-      const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec);
+      const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec,
+      StripeReads reads);
+
+  /// Statement-internal UNION READ (DML locate, OVERWRITE, COMPACT, index
+  /// rebuild) over `snapshot`, restricted to one master file when `file_id`
+  /// is set: drains the scan into `consume` batch by batch. Stripes are read
+  /// uncached, rows and bytes go to a statement-local meter (only the
+  /// pruning counters reach spec.meter or the global meter), and the
+  /// union_read.* histograms see nothing — the statement's caller meters its
+  /// scan itself, and adaptive maintenance reads those histograms.
+  Status ScanInternal(const SnapshotPtr& snapshot, const table::ScanSpec& spec,
+                      std::optional<uint64_t> file_id,
+                      const std::function<Status(const table::RowBatch&)>& consume);
   /// Clears stripe-stat bounds when the snapshot's attached state could
   /// invalidate them.
   table::ScanSpec MasterSpecFor(const table::ScanSpec& spec,
@@ -486,15 +502,12 @@ class DualTable : public table::StorageTable {
   /// the single commit point.
   Result<uint64_t> RewriteMasterParallel();
 
-  double ResolveRatio(std::optional<double> hint) const;
   double AvgRowBytes() const;
 
   /// Feeds the duration histograms and (under kCostModel, when a cost_audit
   /// is wired) appends the predicted-vs-measured audit record for one DML
-  /// statement. `decision` is meaningful only when `audited` is true.
-  void RecordDmlObservation(const char* statement, table::DmlPlan plan,
-                            const PlanDecision& decision, double ratio,
-                            bool ratio_from_hint, bool audited,
+  /// statement.
+  void RecordDmlObservation(const char* statement, const DmlPlanChoice& choice,
                             const table::DmlResult& result, double wall_seconds,
                             const fs::IoSnapshot& io_before);
   /// Wraps a batch iterator so the UNION READ rows histogram observes the

@@ -35,6 +35,14 @@ bool SameValueKind(const Value& a, const Value& b) {
          (a.is_string() && b.is_string()) || (a.is_bool() && b.is_bool());
 }
 
+Result<std::shared_ptr<const orc::StripeBatch>> ReadStripe(
+    const orc::OrcReader& reader, size_t stripe, const std::vector<size_t>& projection,
+    StripeReads reads) {
+  if (reads == StripeReads::kCached) return reader.ReadStripeShared(stripe, projection);
+  DTL_ASSIGN_OR_RETURN(orc::StripeBatch batch, reader.ReadStripe(stripe, projection));
+  return std::make_shared<const orc::StripeBatch>(std::move(batch));
+}
+
 }  // namespace
 
 // --- MasterGeneration -----------------------------------------------------------
@@ -124,71 +132,23 @@ Result<MasterFileInfo> MasterFileWriter::Close() {
   return info_;
 }
 
-// --- MasterScanIterator -----------------------------------------------------------
+// --- RollingFileWriter ------------------------------------------------------------
 
-MasterScanIterator::MasterScanIterator(std::vector<std::shared_ptr<orc::OrcReader>> readers,
-                                       std::vector<uint64_t> file_ids,
-                                       table::ScanSpec spec, size_t num_fields,
-                                       bool apply_predicate)
-    : readers_(std::move(readers)),
-      file_ids_(std::move(file_ids)),
-      spec_(std::move(spec)),
-      num_fields_(num_fields),
-      apply_predicate_(apply_predicate) {
-  required_ = spec_.RequiredColumns(num_fields_);
+Status RollingFileWriter::Append(const Row& row) {
+  if (writer_ == nullptr) {
+    DTL_ASSIGN_OR_RETURN(writer_, master_->NewFileWriter());
+  }
+  DTL_RETURN_NOT_OK(writer_->Append(row));
+  ++rows_;
+  return writer_->rows_written() >= rows_per_file_ ? Finish() : Status::OK();
 }
 
-bool MasterScanIterator::LoadNextBatch() {
-  while (file_index_ < readers_.size()) {
-    const orc::OrcReader* reader = readers_[file_index_].get();
-    if (stripe_index_ >= reader->num_stripes()) {
-      if (reader->num_stripes() > 0 && survivors_in_file_ == 0) {
-        (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter()).AddSkippedFile();
-      }
-      ++file_index_;
-      stripe_index_ = 0;
-      survivors_in_file_ = 0;
-      continue;
-    }
-    const orc::StripeInfo& info = reader->stripe(stripe_index_);
-    bool bloom_pruned = false;
-    if (!StripeMayMatch(info, spec_.bounds, &bloom_pruned)) {
-      (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter())
-          .AddSkippedStripe(bloom_pruned);
-      ++stripe_index_;
-      continue;
-    }
-    ++survivors_in_file_;
-    auto batch = reader->ReadStripe(stripe_index_, required_);
-    if (!batch.ok()) {
-      status_ = batch.status();
-      return false;
-    }
-    batch_ = std::move(batch).value();
-    batch_loaded_ = true;
-    index_in_batch_ = 0;
-    ++stripe_index_;
-    return true;
-  }
-  return false;
-}
-
-bool MasterScanIterator::Next() {
-  if (!status_.ok()) return false;
-  while (true) {
-    if (!batch_loaded_ || index_in_batch_ >= batch_.num_rows) {
-      batch_loaded_ = false;
-      if (!LoadNextBatch()) return false;
-    }
-    const size_t i = index_in_batch_++;
-    row_.assign(num_fields_, Value::Null());
-    for (size_t p = 0; p < batch_.projection.size(); ++p) {
-      row_[batch_.projection[p]] = batch_.columns[p][i];
-    }
-    if (apply_predicate_ && spec_.predicate && !spec_.predicate(row_)) continue;
-    record_id_ = MakeRecordId(file_ids_[file_index_], batch_.first_row + i);
-    return true;
-  }
+Status RollingFileWriter::Finish() {
+  if (writer_ == nullptr) return Status::OK();
+  DTL_ASSIGN_OR_RETURN(MasterFileInfo info, writer_->Close());
+  files_.push_back(std::move(info));
+  writer_.reset();
+  return Status::OK();
 }
 
 // --- MasterScanBatchIterator -------------------------------------------------------
@@ -196,13 +156,14 @@ bool MasterScanIterator::Next() {
 MasterScanBatchIterator::MasterScanBatchIterator(
     std::vector<std::shared_ptr<orc::OrcReader>> readers, std::vector<uint64_t> file_ids,
     table::ScanSpec spec, size_t num_fields, bool apply_predicate, size_t batch_rows,
-    size_t stripe_begin, size_t stripe_end, bool count_skips)
+    StripeReads reads, size_t stripe_begin, size_t stripe_end, bool count_skips)
     : readers_(std::move(readers)),
       file_ids_(std::move(file_ids)),
       spec_(std::move(spec)),
       num_fields_(num_fields),
       apply_predicate_(apply_predicate),
       batch_rows_(std::max<size_t>(1, batch_rows)),
+      reads_(reads),
       stripe_end_limit_(stripe_end),
       count_skips_(count_skips) {
   required_ = spec_.RequiredColumns(num_fields_);
@@ -233,7 +194,7 @@ bool MasterScanBatchIterator::LoadNextStripe() {
       continue;
     }
     ++survivors_in_file_;
-    auto read = reader->ReadStripeShared(stripe_index_, required_);
+    auto read = ReadStripe(*reader, stripe_index_, required_, reads_);
     if (!read.ok()) {
       status_ = read.status();
       return false;
@@ -510,37 +471,9 @@ Result<std::shared_ptr<orc::OrcReader>> MasterTable::OpenReader(
   return Status::NotFound("no master file with ID " + std::to_string(file_id));
 }
 
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewScanIterator(
-    const MasterGenerationPtr& gen, const table::ScanSpec& spec,
-    bool apply_predicate) const {
-  std::vector<std::shared_ptr<orc::OrcReader>> readers;
-  std::vector<uint64_t> file_ids;
-  readers.reserve(gen->files().size());
-  for (const MasterFileInfo& info : gen->files()) {
-    DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
-    readers.push_back(std::move(reader));
-    file_ids.push_back(info.file_id);
-  }
-  return std::unique_ptr<MasterScanIterator>(
-      new MasterScanIterator(std::move(readers), std::move(file_ids), spec,
-                             schema_.num_fields(), apply_predicate));
-}
-
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewFileScanIterator(
-    const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-    bool apply_predicate) const {
-  for (const MasterFileInfo& info : gen->files()) {
-    if (info.file_id != file_id) continue;
-    DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
-    return std::unique_ptr<MasterScanIterator>(new MasterScanIterator(
-        {std::move(reader)}, {file_id}, spec, schema_.num_fields(), apply_predicate));
-  }
-  return Status::NotFound("no master file with ID " + std::to_string(file_id));
-}
-
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterator(
     const MasterGenerationPtr& gen, const table::ScanSpec& spec, bool apply_predicate,
-    size_t batch_rows) const {
+    size_t batch_rows, StripeReads reads) const {
   std::vector<std::shared_ptr<orc::OrcReader>> readers;
   std::vector<uint64_t> file_ids;
   readers.reserve(gen->files().size());
@@ -551,42 +484,26 @@ Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterat
   }
   return std::unique_ptr<MasterScanBatchIterator>(
       new MasterScanBatchIterator(std::move(readers), std::move(file_ids), spec,
-                                  schema_.num_fields(), apply_predicate, batch_rows));
+                                  schema_.num_fields(), apply_predicate, batch_rows, reads));
 }
 
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewFileBatchScanIterator(
     const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-    bool apply_predicate, size_t batch_rows) const {
+    bool apply_predicate, size_t batch_rows, StripeReads reads) const {
   for (const MasterFileInfo& info : gen->files()) {
     if (info.file_id != file_id) continue;
     DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
     return std::unique_ptr<MasterScanBatchIterator>(new MasterScanBatchIterator(
         {std::move(reader)}, {file_id}, spec, schema_.num_fields(), apply_predicate,
-        batch_rows));
+        batch_rows, reads));
   }
   return Status::NotFound("no master file with ID " + std::to_string(file_id));
 }
 
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewScanIterator(
-    const table::ScanSpec& spec, bool apply_predicate) const {
-  return NewScanIterator(CurrentGeneration(), spec, apply_predicate);
-}
-
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewFileScanIterator(
-    uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate) const {
-  return NewFileScanIterator(CurrentGeneration(), file_id, spec, apply_predicate);
-}
-
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterator(
-    const table::ScanSpec& spec, bool apply_predicate, size_t batch_rows) const {
-  return NewBatchScanIterator(CurrentGeneration(), spec, apply_predicate, batch_rows);
-}
-
-Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewFileBatchScanIterator(
-    uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate,
-    size_t batch_rows) const {
-  return NewFileBatchScanIterator(CurrentGeneration(), file_id, spec, apply_predicate,
-                                  batch_rows);
+    const table::ScanSpec& spec, bool apply_predicate, size_t batch_rows,
+    StripeReads reads) const {
+  return NewBatchScanIterator(CurrentGeneration(), spec, apply_predicate, batch_rows, reads);
 }
 
 Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(
@@ -640,8 +557,8 @@ Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewMorselBatchScan
     DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
     return std::unique_ptr<MasterScanBatchIterator>(new MasterScanBatchIterator(
         {std::move(reader)}, {morsel.file_id}, spec, schema_.num_fields(),
-        apply_predicate, batch_rows, morsel.stripe_begin, morsel.stripe_end,
-        /*count_skips=*/false));
+        apply_predicate, batch_rows, StripeReads::kCached, morsel.stripe_begin,
+        morsel.stripe_end, /*count_skips=*/false));
   }
   return Status::NotFound("no master file with ID " + std::to_string(morsel.file_id));
 }

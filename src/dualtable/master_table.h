@@ -19,6 +19,7 @@
 #include "orc/reader.h"
 #include "orc/writer.h"
 #include "table/spec.h"
+#include "table/storage_table.h"
 
 namespace dtl::dual {
 
@@ -126,44 +127,35 @@ class MasterFileWriter {
   fs::SimFileSystem* fs_;
 };
 
-/// Streams (record_id, row) pairs from the master files in record-ID order,
-/// honoring projection, stripe pruning, and (optionally deferred) predicate
-/// evaluation. Rows are full schema width with non-required columns NULL.
-class MasterScanIterator {
+/// Stages a row stream into fresh master files of at most `rows_per_file`
+/// rows each — the write side of OVERWRITE, COMPACT and INSERT OVERWRITE.
+/// Nothing is registered: the caller commits files() in one ReplaceAllFiles
+/// (or deletes them on failure).
+class RollingFileWriter {
  public:
-  /// Advances to the next surviving row; false at end or error.
-  bool Next();
-  uint64_t record_id() const { return record_id_; }
-  const Row& row() const { return row_; }
-  const Status& status() const { return status_; }
+  RollingFileWriter(MasterTable* master, uint64_t rows_per_file)
+      : master_(master), rows_per_file_(rows_per_file) {}
+
+  Status Append(const Row& row);
+  /// Seals the open file, if any; call after the last Append.
+  Status Finish();
+
+  /// Files sealed so far (every file once Finish returns OK).
+  std::vector<MasterFileInfo>& files() { return files_; }
+  uint64_t rows() const { return rows_; }
 
  private:
-  friend class MasterTable;
-  MasterScanIterator(std::vector<std::shared_ptr<orc::OrcReader>> readers,
-                     std::vector<uint64_t> file_ids, table::ScanSpec spec,
-                     size_t num_fields, bool apply_predicate);
-
-  bool LoadNextBatch();
-
-  std::vector<std::shared_ptr<orc::OrcReader>> readers_;
-  std::vector<uint64_t> file_ids_;
-  table::ScanSpec spec_;
-  std::vector<size_t> required_;
-  size_t num_fields_;
-  bool apply_predicate_;
-
-  size_t file_index_ = 0;
-  size_t stripe_index_ = 0;
-  /// Stripes of the current file that passed StripeMayMatch; a file that
-  /// ends with zero survivors is charged to the meter as a skipped file.
-  size_t survivors_in_file_ = 0;
-  orc::StripeBatch batch_;
-  bool batch_loaded_ = false;
-  size_t index_in_batch_ = 0;
-  uint64_t record_id_ = 0;
-  Row row_;
-  Status status_;
+  MasterTable* master_;
+  uint64_t rows_per_file_;
+  std::unique_ptr<MasterFileWriter> writer_;
+  std::vector<MasterFileInfo> files_;
+  uint64_t rows_ = 0;
 };
+
+/// How a master scan obtains decoded stripes. User SELECTs read through the
+/// shared StripeCache; statement-internal scans (DML locate, OVERWRITE,
+/// COMPACT, index rebuild) decode uncached, so they neither hit nor warm it.
+enum class StripeReads { kCached, kUncached };
 
 /// Vectorized master scan: streams RowBatches sliced zero-copy out of
 /// decoded stripes, in record-ID order, honoring projection and stripe
@@ -181,8 +173,8 @@ class MasterScanBatchIterator : public table::BatchIterator {
   MasterScanBatchIterator(std::vector<std::shared_ptr<orc::OrcReader>> readers,
                           std::vector<uint64_t> file_ids, table::ScanSpec spec,
                           size_t num_fields, bool apply_predicate, size_t batch_rows,
-                          size_t stripe_begin = 0, size_t stripe_end = SIZE_MAX,
-                          bool count_skips = true);
+                          StripeReads reads, size_t stripe_begin = 0,
+                          size_t stripe_end = SIZE_MAX, bool count_skips = true);
 
   /// Decodes the next surviving stripe; false at end or error.
   bool LoadNextStripe();
@@ -194,6 +186,7 @@ class MasterScanBatchIterator : public table::BatchIterator {
   size_t num_fields_;
   bool apply_predicate_;
   size_t batch_rows_;
+  StripeReads reads_;
 
   /// Stripe window for morsel scans; only meaningful for single-file
   /// iterators (multi-file scans always cover every stripe).
@@ -205,7 +198,8 @@ class MasterScanBatchIterator : public table::BatchIterator {
 
   size_t file_index_ = 0;
   size_t stripe_index_ = 0;
-  /// See MasterScanIterator::survivors_in_file_.
+  /// Stripes of the current file that passed StripeMayMatch; a file that
+  /// ends with zero survivors is charged to the meter as a skipped file.
   size_t survivors_in_file_ = 0;
   std::shared_ptr<const orc::StripeBatch> stripe_;
   size_t offset_in_stripe_ = 0;
@@ -284,27 +278,19 @@ class MasterTable {
   // racing past it are invisible. The generation-less overloads below pin
   // CurrentGeneration() per call and exist for the non-MVCC baselines.
 
-  /// Sequential scan in record-ID order. `apply_predicate` false defers the
-  /// residual filter to the caller (UNION READ filters after merging).
-  Result<std::unique_ptr<MasterScanIterator>> NewScanIterator(
-      const MasterGenerationPtr& gen, const table::ScanSpec& spec,
-      bool apply_predicate) const;
-
-  /// Scan over a single master file (the per-file MapReduce split).
-  Result<std::unique_ptr<MasterScanIterator>> NewFileScanIterator(
-      const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-      bool apply_predicate) const;
-
   /// Vectorized sequential scan in record-ID order (see
   /// MasterScanBatchIterator for predicate/pruning semantics).
+  /// `apply_predicate` false defers the residual filter to the caller (UNION
+  /// READ filters after merging).
   Result<std::unique_ptr<MasterScanBatchIterator>> NewBatchScanIterator(
       const MasterGenerationPtr& gen, const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
+      size_t batch_rows = table::kDefaultBatchRows,
+      StripeReads reads = StripeReads::kCached) const;
 
-  /// Vectorized scan over a single master file.
+  /// Vectorized scan over a single master file (COMPACT's per-file rewrite).
   Result<std::unique_ptr<MasterScanBatchIterator>> NewFileBatchScanIterator(
       const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-      bool apply_predicate, size_t batch_rows = table::kDefaultBatchRows) const;
+      bool apply_predicate, size_t batch_rows, StripeReads reads) const;
 
   /// Splits the scan into stripe-aligned morsels of at most
   /// `stripes_per_morsel` surviving stripes each, in record-ID order.
@@ -320,18 +306,12 @@ class MasterTable {
       const table::ScanSpec& spec, bool apply_predicate,
       size_t batch_rows = table::kDefaultBatchRows) const;
 
-  // --- latest-visible conveniences (baselines and tests; see lint rule 8) ---
+  // --- latest-visible convenience (baselines and tests; see lint rule 8) ---
 
-  Result<std::unique_ptr<MasterScanIterator>> NewScanIterator(const table::ScanSpec& spec,
-                                                              bool apply_predicate) const;
-  Result<std::unique_ptr<MasterScanIterator>> NewFileScanIterator(
-      uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate) const;
   Result<std::unique_ptr<MasterScanBatchIterator>> NewBatchScanIterator(
       const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
-  Result<std::unique_ptr<MasterScanBatchIterator>> NewFileBatchScanIterator(
-      uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
+      size_t batch_rows = table::kDefaultBatchRows,
+      StripeReads reads = StripeReads::kCached) const;
 
   /// Removes every master file and the directory.
   Status Drop();

@@ -7,7 +7,6 @@
 #include "common/coding.h"
 #include "orc/encoding.h"
 #include "orc/stripe_cache.h"
-#include "table/scan_stats.h"
 
 namespace dtl::orc {
 
@@ -259,41 +258,6 @@ bool OrcRowIterator::Next() {
     row_number_ = batch_.first_row + index_in_stripe_;
     row_ = batch_.GetRow(index_in_stripe_);
     ++index_in_stripe_;
-    return true;
-  }
-}
-
-OrcBatchIterator::OrcBatchIterator(const OrcReader* reader, std::vector<size_t> projection,
-                                   size_t batch_rows, table::ScanMeter* meter)
-    : reader_(reader),
-      projection_(std::move(projection)),
-      batch_rows_(std::max<size_t>(1, batch_rows)),
-      meter_(meter) {}
-
-bool OrcBatchIterator::Next(table::RowBatch* batch) {
-  if (!status_.ok()) return false;
-  while (true) {
-    if (stripe_ == nullptr || offset_in_stripe_ >= stripe_->num_rows) {
-      if (stripe_index_ >= reader_->num_stripes()) return false;
-      auto read = reader_->ReadStripeShared(stripe_index_, projection_);
-      if (!read.ok()) {
-        status_ = read.status();
-        return false;
-      }
-      ++stripe_index_;
-      if ((*read)->num_rows == 0) continue;
-      stripe_ = std::move(read).value();
-      offset_in_stripe_ = 0;
-    }
-    const size_t count =
-        std::min(batch_rows_, static_cast<size_t>(stripe_->num_rows) - offset_in_stripe_);
-    stripe_->SliceInto(offset_in_stripe_, count, reader_->schema().num_fields(), batch);
-    batch->SetContiguousRecordIds(stripe_->first_row + offset_in_stripe_);
-    batch->SetAnchor(stripe_);
-    // Charge the stripe's encoded bytes to its first slice only.
-    (meter_ != nullptr ? *meter_ : table::GlobalScanMeter())
-        .AddBatch(count, offset_in_stripe_ == 0 ? stripe_->encoded_bytes : 0);
-    offset_in_stripe_ += count;
     return true;
   }
 }

@@ -16,7 +16,6 @@
 #include "fs/filesystem.h"
 #include "orc/orc_types.h"
 #include "table/row_batch.h"
-#include "table/storage_table.h"
 
 namespace dtl::orc {
 
@@ -144,31 +143,6 @@ class OrcRowIterator {
   bool batch_loaded_ = false;
   uint64_t row_number_ = 0;
   Row row_;
-  Status status_;
-};
-
-/// Streams RowBatches (capacity-bounded slices of decoded stripes) across
-/// all stripes of one file. Record IDs are file-level row numbers; callers
-/// that need full DualTable record IDs rebase them (MasterScanBatchIterator
-/// does). Batches are zero-copy views anchored to the decoded stripe.
-class OrcBatchIterator : public table::BatchIterator {
- public:
-  /// `meter` defaults to the process-global scan meter when null.
-  OrcBatchIterator(const OrcReader* reader, std::vector<size_t> projection,
-                   size_t batch_rows = table::kDefaultBatchRows,
-                   table::ScanMeter* meter = nullptr);
-
-  bool Next(table::RowBatch* batch) override;
-  const Status& status() const override { return status_; }
-
- private:
-  const OrcReader* reader_;
-  std::vector<size_t> projection_;
-  size_t batch_rows_;
-  table::ScanMeter* meter_;
-  size_t stripe_index_ = 0;
-  size_t offset_in_stripe_ = 0;
-  std::shared_ptr<const StripeBatch> stripe_;
   Status status_;
 };
 

@@ -1371,6 +1371,20 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
   auto emit = [&result](const std::string& line) {
     result.rows.push_back(Row{Value::String(line)});
   };
+  // The plan decision execution takes (DualTable::DecideDmlPlan), so EXPLAIN
+  // names the plan the statement would run.
+  auto emit_dml_plan = [&emit](const dual::DualTable& dual, dual::DmlKind kind,
+                               std::optional<double> ratio_hint) {
+    const dual::DmlPlanChoice choice = dual.DecideDmlPlan(kind, ratio_hint);
+    if (!choice.cost_model) {
+      emit(std::string("  plan: ") + table::DmlPlanName(choice.plan) +
+           " (forced by plan mode)");
+      return;
+    }
+    emit("  ratio: " + std::to_string(choice.ratio) + " (" +
+         dual::RatioSourceName(choice.ratio_source) + ")");
+    emit("  cost model: " + choice.decision.ToString());
+  };
 
   if (const auto* update = std::get_if<UpdateStmt>(stmt.inner.get())) {
     DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(update->table));
@@ -1378,11 +1392,7 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     if (update->where) emit("  where: " + update->where->ToString());
     if (entry.kind == table::TableKind::kDual) {
       auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      const double ratio = update->ratio_hint.value_or(0.01);
-      auto decision = dual->PreviewUpdateDecision(ratio);
-      emit("  ratio: " + std::to_string(ratio) +
-           (update->ratio_hint ? " (WITH RATIO hint)" : " (default/history)"));
-      emit("  cost model: " + decision.ToString());
+      emit_dml_plan(*dual, dual::DmlKind::kUpdate, update->ratio_hint);
       emit("  crossover ratio: " +
            std::to_string(dual->cost_model().UpdateCrossoverRatio(
                dual->master()->TotalBytes())));
@@ -1397,10 +1407,7 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     if (del->where) emit("  where: " + del->where->ToString());
     if (entry.kind == table::TableKind::kDual) {
       auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      const double ratio = del->ratio_hint.value_or(0.01);
-      auto decision = dual->PreviewDeleteDecision(ratio);
-      emit("  ratio: " + std::to_string(ratio));
-      emit("  cost model: " + decision.ToString());
+      emit_dml_plan(*dual, dual::DmlKind::kDelete, del->ratio_hint);
     } else {
       emit("  plan: full INSERT OVERWRITE rewrite");
     }

@@ -60,6 +60,16 @@ struct ScanSnapshot {
     return d;
   }
 
+  /// Only the stripe/file pruning counters. Statement-internal scans meter
+  /// into a private meter and fold just these into the caller's.
+  ScanSnapshot PruningOnly() const {
+    ScanSnapshot d;
+    d.stripes_skipped = stripes_skipped;
+    d.stripes_skipped_bloom = stripes_skipped_bloom;
+    d.files_skipped = files_skipped;
+    return d;
+  }
+
   /// Fraction of scanned rows that survived filters and masks (1.0 when no
   /// rows were scanned).
   double Selectivity() const {

@@ -80,17 +80,6 @@ Result<std::unique_ptr<BatchIterator>> StorageTable::ScanBatches(const ScanSpec&
       std::move(it), schema().num_fields(), kDefaultBatchRows, spec.meter));
 }
 
-Result<std::vector<ScanSplit>> StorageTable::CreateSplits(const ScanSpec& spec) {
-  std::vector<ScanSplit> splits;
-  ScanSpec copy = spec;
-  StorageTable* self = this;
-  splits.push_back(ScanSplit{
-      name(), [self, copy]() -> Result<std::unique_ptr<RowIterator>> {
-        return self->Scan(copy);
-      }});
-  return splits;
-}
-
 Result<uint64_t> StorageTable::CountRows() {
   ScanSpec spec;
   // Project the narrowest single column; counting does not need data, but a

@@ -43,8 +43,8 @@ class BatchIterator {
 class ScanMeter;
 
 /// Presents a BatchIterator as a RowIterator: materializes one (reused) row
-/// at a time. This is how row-at-a-time consumers (joins, aggregates, the
-/// MapReduce splits, DML scans) ride the batch read path unchanged.
+/// at a time. This is how row-at-a-time consumers (joins, aggregates, sorts)
+/// ride the batch read path unchanged.
 /// `meter` defaults to the process-global scan meter when null.
 class BatchToRowAdapter : public RowIterator {
  public:
@@ -87,13 +87,6 @@ class RowToBatchAdapter : public BatchIterator {
   ScanMeter* meter_;
 };
 
-/// One independently openable unit of a scan (≈ a MapReduce input split:
-/// a master file, a chunk, or a region range).
-struct ScanSplit {
-  std::string label;
-  std::function<Result<std::unique_ptr<RowIterator>>()> open;
-};
-
 /// A named table in some storage system.
 class StorageTable {
  public:
@@ -108,10 +101,6 @@ class StorageTable {
   /// Vectorized sequential scan. Default: the row scan repackaged through a
   /// RowToBatchAdapter; storage systems with a native batch path override.
   virtual Result<std::unique_ptr<BatchIterator>> ScanBatches(const ScanSpec& spec);
-
-  /// Splits for MapReduce-style parallel scans. Default: one split wrapping
-  /// the sequential scan.
-  virtual Result<std::vector<ScanSplit>> CreateSplits(const ScanSpec& spec);
 
   /// Appends rows (INSERT INTO / LOAD).
   virtual Status InsertRows(const std::vector<Row>& rows) = 0;

@@ -120,6 +120,49 @@ TEST_F(CostAuditTest, UnhintedDmlIsAuditedWithResolvedRatio) {
   EXPECT_GT(records[0].ratio, 0.0);
 }
 
+std::string PlanText(const sql::QueryResult& result) {
+  std::string text;
+  for (const Row& row : result.rows) text += row[0].AsString() + "\n";
+  return text;
+}
+
+TEST_F(CostAuditTest, ExplainResolvesTheRatioAndNamesThePlanExecutionRecords) {
+  // Regression: EXPLAIN UPDATE/DELETE hard-coded a 0.01 ratio while
+  // execution resolved the table's ratio history, so once the history moved
+  // past the crossover EXPLAIN named a plan that never ran.
+  Run("CREATE TABLE r (id BIGINT, v BIGINT)");
+  std::string insert = "INSERT INTO r VALUES ";
+  for (int i = 0; i < 2000; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", 0)";
+  }
+  Run(insert);
+  EXPECT_NE(PlanText(Run("EXPLAIN DELETE FROM r WHERE id < 1800")).find("(default)"),
+            std::string::npos);
+  const std::string update = "UPDATE r SET v = v + 1 WHERE id < 1800";
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(Run(update).affected_rows, 1800u);
+
+  const std::string explain = PlanText(Run("EXPLAIN " + update));
+  const std::string explain_delete =
+      PlanText(Run("EXPLAIN DELETE FROM r WHERE id < 1800"));
+  Run(update);
+  std::vector<obs::CostAuditRecord> records = session_->cost_audit()->Records();
+  ASSERT_EQ(records.size(), 7u);
+  const obs::CostAuditRecord& next = records.back();
+  EXPECT_FALSE(next.ratio_from_hint);
+  EXPECT_NEAR(next.ratio, 0.9, 1e-9);  // 1800 of 2000 rows, every time
+  EXPECT_NE(explain.find("ratio: " + std::to_string(next.ratio) + " (history)"),
+            std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("cost model: " + next.executed_plan + " "), std::string::npos)
+      << explain << "executed: " << next.executed_plan;
+  EXPECT_NE(explain_delete.find("ratio: " + std::to_string(next.ratio) + " (history)"),
+            std::string::npos)
+      << explain_delete;
+  EXPECT_NE(PlanText(Run("EXPLAIN " + update + " WITH RATIO 0.5")).find("(WITH RATIO hint)"),
+            std::string::npos);
+}
+
 TEST_F(CostAuditTest, ForcedPlansAreNotAudited) {
   // Only kCostModel decisions are audited: forcing a plan bypasses the model,
   // so there is nothing to check the prediction against.

@@ -3,6 +3,7 @@
 #include "dualtable/dual_table.h"
 #include "dualtable/record_id.h"
 #include "fs/filesystem.h"
+#include "table/scan_stats.h"
 
 namespace dtl::dual {
 namespace {
@@ -457,7 +458,7 @@ TEST_F(DualTableTest, StatsPruningSkipsStripesWhenAttachedEmpty) {
   EXPECT_LT(pruned_bytes * 10, full_bytes);  // 1 of 100 stripes read
 }
 
-TEST_F(DualTableTest, SplitsCoverWholeTable) {
+TEST_F(DualTableTest, MorselsCoverWholeTable) {
   auto t = OpenTable("t");
   for (int batch = 0; batch < 3; ++batch) {
     std::vector<Row> rows;
@@ -465,14 +466,17 @@ TEST_F(DualTableTest, SplitsCoverWholeTable) {
     ASSERT_TRUE((*t)->InsertRows(rows).ok());  // 3 master files
   }
   table::ScanSpec all;
-  auto splits = (*t)->CreateSplits(all);
-  ASSERT_TRUE(splits.ok());
-  EXPECT_EQ(splits->size(), 3u);
+  SnapshotPtr snapshot = (*t)->AcquireSnapshot();
+  auto morsels = (*t)->PlanScanMorselsAt(snapshot, all, /*stripes_per_morsel=*/1000);
+  ASSERT_TRUE(morsels.ok());
+  EXPECT_EQ(morsels->size(), 3u);  // one per master file
   uint64_t total = 0;
-  for (const auto& split : *splits) {
-    auto it = split.open();
+  for (const ScanMorsel& morsel : *morsels) {
+    table::ScanMeter meter;
+    auto it = (*t)->NewUnionReadBatchForMorselAt(snapshot, morsel, all, &meter);
     ASSERT_TRUE(it.ok());
-    while ((*it)->Next()) ++total;
+    table::RowBatch batch;
+    while ((*it)->Next(&batch)) total += batch.size();
     ASSERT_TRUE((*it)->status().ok());
   }
   EXPECT_EQ(total, 300u);

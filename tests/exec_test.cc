@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "exec/mapreduce.h"
 #include "exec/operators.h"
 
 namespace dtl::exec {
@@ -132,88 +131,6 @@ TEST(OperatorTest, LimitStopsEarly) {
       MakeRows({R({1}), R({2}), R({3})}), 2);
   auto rows = Collect(plan.get());
   EXPECT_EQ(rows->size(), 2u);
-}
-
-// --- MapReduce --------------------------------------------------------------------
-
-std::vector<table::ScanSplit> MakeSplits(std::vector<std::vector<Row>> split_rows) {
-  std::vector<table::ScanSplit> splits;
-  for (auto& rows : split_rows) {
-    auto shared = std::make_shared<std::vector<Row>>(std::move(rows));
-    splits.push_back(table::ScanSplit{
-        "mem", [shared]() -> Result<std::unique_ptr<table::RowIterator>> {
-          class It : public table::RowIterator {
-           public:
-            explicit It(std::shared_ptr<std::vector<Row>> rows) : rows_(std::move(rows)) {}
-            bool Next() override { return ++index_ <= rows_->size(); }
-            const Row& row() const override { return (*rows_)[index_ - 1]; }
-            const Status& status() const override { return status_; }
-
-           private:
-            std::shared_ptr<std::vector<Row>> rows_;
-            size_t index_ = 0;
-            Status status_;
-          };
-          return std::unique_ptr<table::RowIterator>(new It(shared));
-        }});
-  }
-  return splits;
-}
-
-TEST(MapReduceTest, WordCountStyleAggregation) {
-  ThreadPool pool(4);
-  auto splits = MakeSplits({{R({1, 10}), R({2, 20})}, {R({1, 30})}, {R({2, 5}), R({1, 1})}});
-  MapReduceConfig config;
-  config.pool = &pool;
-  config.num_reducers = 3;
-  MapReduceStats stats;
-  auto result = RunMapReduce(
-      splits,
-      [](const Row& row, uint64_t, std::vector<std::pair<Value, Row>>* out) {
-        out->emplace_back(row[0], Row{row[1]});
-      },
-      [](const Value& key, const std::vector<Row>& values, std::vector<Row>* out) {
-        int64_t sum = 0;
-        for (const Row& v : values) sum += v[0].AsInt64();
-        out->push_back(Row{key, Value::Int64(sum)});
-      },
-      config, &stats);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->size(), 2u);
-  int64_t total = 0;
-  for (const Row& row : *result) {
-    if (row[0].AsInt64() == 1) EXPECT_EQ(row[1].AsInt64(), 41);
-    if (row[0].AsInt64() == 2) EXPECT_EQ(row[1].AsInt64(), 25);
-    total += row[1].AsInt64();
-  }
-  EXPECT_EQ(total, 66);
-  EXPECT_EQ(stats.map_tasks, 3u);
-  EXPECT_EQ(stats.input_records, 5u);
-}
-
-TEST(MapReduceTest, MapOnlyJobConcatenatesInSplitOrder) {
-  ThreadPool pool(4);
-  auto splits = MakeSplits({{R({1})}, {R({2})}, {R({3})}});
-  MapReduceConfig config;
-  config.pool = &pool;
-  auto result = RunMapReduce(
-      splits,
-      [](const Row& row, uint64_t, std::vector<std::pair<Value, Row>>* out) {
-        out->emplace_back(Value::Null(), row);
-      },
-      nullptr, config);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->size(), 3u);
-  EXPECT_EQ((*result)[0][0].AsInt64(), 1);
-  EXPECT_EQ((*result)[2][0].AsInt64(), 3);
-}
-
-TEST(MapReduceTest, ParallelCountSumsSplits) {
-  ThreadPool pool(4);
-  auto splits = MakeSplits({{R({1}), R({2})}, {}, {R({3})}});
-  auto count = ParallelCount(splits, &pool);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 3u);
 }
 
 /// In-memory RowIterator source for feeding the batch adapters.

@@ -4,10 +4,11 @@
 // equivalence at every point.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "common/random.h"
-#include "exec/mapreduce.h"
+#include "exec/parallel_scan.h"
 #include "sql/session.h"
 
 namespace dtl {
@@ -168,20 +169,20 @@ TEST_F(IntegrationTest, InsertAfterDmlLandsInNewMasterFile) {
   EXPECT_EQ(dual->master()->files().size(), 2u);
 }
 
-TEST_F(IntegrationTest, MapReduceOverDualTableSplits) {
-  // The paper's execution model: one map task per master file, with UNION
-  // READ running inside the task. The MR aggregate must match the SQL
-  // aggregate over the merged view.
+TEST_F(IntegrationTest, ParallelAggregateOverDualTableMorsels) {
+  // The paper's execution model: the UNION READ merge runs map-side, one
+  // task per input split. Here each morsel is a split: a per-group parallel
+  // aggregate over the merged view must match the SQL GROUP BY.
   Run("CREATE TABLE t (grp BIGINT, v BIGINT) STORED AS dualtable");
   for (int file = 0; file < 4; ++file) {
     std::string insert = "INSERT INTO t VALUES (0, 1)";
     for (int i = 1; i < 50; ++i) {
       insert += ", (" + std::to_string(i % 5) + ", 1)";
     }
-    Run(insert);  // 4 master files => 4 splits
+    Run(insert);  // 4 master files => 4 morsels at file granularity
   }
   // Tiny ratio hints keep both statements on the EDIT plan so the master
-  // file layout (and hence the split count) is preserved.
+  // file layout (and hence the morsel count) is preserved.
   auto updated = Run("UPDATE t SET v = 10 WHERE grp = 2 WITH RATIO 0.01");
   ASSERT_EQ(updated.dml_plan, "EDIT");
   auto deleted = Run("DELETE FROM t WHERE grp = 4 WITH RATIO 0.01");
@@ -189,39 +190,40 @@ TEST_F(IntegrationTest, MapReduceOverDualTableSplits) {
 
   auto entry = session_->catalog()->Lookup("t");
   ASSERT_TRUE(entry.ok());
-  auto splits = entry->table->CreateSplits(table::ScanSpec{});
-  ASSERT_TRUE(splits.ok());
-  EXPECT_EQ(splits->size(), 4u);
+  auto* dual = dynamic_cast<dual::DualTable*>(entry->table.get());
+  ASSERT_NE(dual, nullptr);
+  dual::SnapshotPtr snapshot = dual->AcquireSnapshot();
+  auto morsels =
+      dual->PlanScanMorselsAt(snapshot, table::ScanSpec{}, /*stripes_per_morsel=*/1000);
+  ASSERT_TRUE(morsels.ok());
+  EXPECT_EQ(morsels->size(), 4u);
 
-  exec::MapReduceConfig config;
-  config.pool = session_->pool();
-  config.num_reducers = 3;
-  exec::MapReduceStats stats;
-  auto mr = exec::RunMapReduce(
-      *splits,
-      [](const Row& row, uint64_t record_id, std::vector<std::pair<Value, Row>>* out) {
-        EXPECT_NE(record_id, 0u);  // union read exposes record IDs to mappers
-        out->emplace_back(row[0], Row{row[1]});
-      },
-      [](const Value& key, const std::vector<Row>& values, std::vector<Row>* out) {
-        int64_t sum = 0;
-        for (const Row& v : values) sum += v[0].AsInt64();
-        out->push_back(Row{key, Value::Int64(sum)});
-      },
-      config, &stats);
-  ASSERT_TRUE(mr.ok()) << mr.status().ToString();
-  EXPECT_EQ(stats.map_tasks, 4u);
+  exec::ParallelScanOptions options;
+  options.pool = session_->pool();
+  options.parallelism = 4;
+  options.snapshot = snapshot;
+  std::map<int64_t, int64_t> parallel_sums;
+  for (int64_t grp = 0; grp < 5; ++grp) {
+    table::ScanSpec spec;
+    spec.predicate_columns = {0};
+    spec.predicate = [grp](const Row& row) { return row[0].AsInt64() == grp; };
+    exec::AggSpec sum;
+    sum.kind = exec::AggKind::kSum;
+    sum.input = [](const Row& row) { return row[1]; };
+    exec::ParallelScanner scanner(dual, spec, options);
+    auto row = scanner.Aggregate({sum});
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    if (!(*row)[0].is_null()) parallel_sums[grp] = (*row)[0].AsInt64();
+  }
 
   auto sql_result = Run("SELECT grp, SUM(v) FROM t GROUP BY grp ORDER BY grp");
-  ASSERT_EQ(mr->size(), sql_result.rows.size());
-  std::map<int64_t, int64_t> mr_sums;
-  for (const Row& row : *mr) mr_sums[row[0].AsInt64()] = row[1].AsInt64();
+  ASSERT_EQ(parallel_sums.size(), sql_result.rows.size());  // grp 4 fully deleted
   for (const Row& row : sql_result.rows) {
-    EXPECT_EQ(mr_sums[row[0].AsInt64()], row[1].AsInt64());
+    EXPECT_EQ(parallel_sums[row[0].AsInt64()], row[1].AsInt64());
   }
 }
 
-TEST_F(IntegrationTest, ParallelCountMatchesSequential) {
+TEST_F(IntegrationTest, ParallelScannerCountMatchesSequential) {
   Run("CREATE TABLE t (v BIGINT) STORED AS dualtable");
   for (int file = 0; file < 3; ++file) {
     std::string insert = "INSERT INTO t VALUES (0)";
@@ -230,10 +232,15 @@ TEST_F(IntegrationTest, ParallelCountMatchesSequential) {
   }
   Run("DELETE FROM t WHERE v < 10 WITH RATIO 0.25");
   auto entry = session_->catalog()->Lookup("t");
-  auto splits = entry->table->CreateSplits(table::ScanSpec{});
-  ASSERT_TRUE(splits.ok());
-  auto parallel = exec::ParallelCount(*splits, session_->pool());
-  ASSERT_TRUE(parallel.ok());
+  ASSERT_TRUE(entry.ok());
+  auto* dual = dynamic_cast<dual::DualTable*>(entry->table.get());
+  ASSERT_NE(dual, nullptr);
+  exec::ParallelScanOptions options;
+  options.pool = session_->pool();
+  options.parallelism = 3;
+  exec::ParallelScanner scanner(dual, table::ScanSpec{}, options);
+  auto parallel = scanner.Count();
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(*parallel, 90u);  // 120 - 30 deleted
   EXPECT_EQ(Run("SELECT COUNT(*) FROM t").rows[0][0].AsInt64(), 90);
 }

@@ -1,8 +1,10 @@
 // Tests for the vectorized read path: RowBatch/ColumnVector mechanics,
 // the row<->batch adapters, and the batch scan pipeline edge cases (empty
 // table, stripe-aligned batch boundaries, projection-only scans, fully
-// deleted batches, and batch-vs-row equivalence).
+// deleted batches, and batch output vs a model of the inserts and puts).
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "dualtable/dual_table.h"
 #include "dualtable/record_id.h"
@@ -254,43 +256,57 @@ TEST_F(BatchScanTest, FullyDeletedBatchIsSkippedNotEmitted) {
   EXPECT_EQ(*table_->CountRows(), 8u);
 }
 
-TEST_F(BatchScanTest, BatchPathMatchesLegacyRowPath) {
+TEST_F(BatchScanTest, BatchPathMatchesModelOfInsertsAndPuts) {
   Open(/*stripe_rows=*/10, /*batch_rows=*/4);  // misaligned on purpose
   InsertSequential(57);
   InsertSequential(13);  // second master file
-  // Mixed modifications: updates, deletes, update-after-delete.
   const auto& files = table_->master()->files();
   ASSERT_EQ(files.size(), 2u);
+  // The expected view, built from the inserts and puts alone: record ID ->
+  // row, in record-ID (= scan) order.
+  std::map<uint64_t, Row> model;
+  for (int i = 0; i < 57; ++i) {
+    model[dual::MakeRecordId(files[0].file_id, i)] = {Value::Int64(i), Value::Int64(i * 10)};
+  }
+  for (int i = 0; i < 13; ++i) {
+    model[dual::MakeRecordId(files[1].file_id, i)] = {Value::Int64(i), Value::Int64(i * 10)};
+  }
+  // Mixed modifications: updates, deletes, update-after-delete.
   auto* att = table_->attached();
-  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(files[0].file_id, 3), 1,
-                             Value::Int64(-1)).ok());
-  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(files[0].file_id, 39), 0,
-                             Value::Int64(1000)).ok());
-  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(files[0].file_id, 40)).ok());
-  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(files[1].file_id, 0)).ok());
-  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(files[1].file_id, 5)).ok());
-  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(files[1].file_id, 5), 1,
-                             Value::Int64(7)).ok());  // stays deleted
+  auto put_update = [&](uint64_t rid, uint32_t column, int64_t v) {
+    ASSERT_TRUE(att->PutUpdate(rid, column, Value::Int64(v)).ok());
+    if (model.count(rid) > 0) model[rid][column] = Value::Int64(v);
+  };
+  auto put_delete = [&](uint64_t rid) {
+    ASSERT_TRUE(att->PutDeleteMarker(rid).ok());
+    model.erase(rid);
+  };
+  put_update(dual::MakeRecordId(files[0].file_id, 3), 1, -1);
+  put_update(dual::MakeRecordId(files[0].file_id, 39), 0, 1000);
+  put_delete(dual::MakeRecordId(files[0].file_id, 40));
+  put_delete(dual::MakeRecordId(files[1].file_id, 0));
+  put_delete(dual::MakeRecordId(files[1].file_id, 5));
+  put_update(dual::MakeRecordId(files[1].file_id, 5), 1, 7);  // stays deleted
   table_->PublishEditCommit();
 
   ScanSpec spec;
   spec.projection = {0, 1};
   spec.predicate_columns = {0};
   spec.predicate = [](const Row& row) { return row[0].AsInt64() % 3 != 0; };
+  std::vector<std::pair<uint64_t, Row>> expected;
+  for (const auto& [rid, row] : model) {
+    if (spec.predicate(row)) expected.emplace_back(rid, row);
+  }
 
-  auto legacy = table_->ScanLegacyRows(spec);
-  ASSERT_TRUE(legacy.ok());
   auto batch_scan = table_->Scan(spec);  // batch path + adapter
   ASSERT_TRUE(batch_scan.ok());
-
-  auto legacy_rows = Drain(legacy->get());
   auto batch_rows = Drain(batch_scan->get());
-  ASSERT_EQ(legacy_rows.size(), batch_rows.size());
-  for (size_t i = 0; i < legacy_rows.size(); ++i) {
-    EXPECT_EQ(legacy_rows[i].first, batch_rows[i].first) << "record id at row " << i;
-    ASSERT_EQ(legacy_rows[i].second.size(), batch_rows[i].second.size());
-    for (size_t c = 0; c < legacy_rows[i].second.size(); ++c) {
-      EXPECT_EQ(legacy_rows[i].second[c].Compare(batch_rows[i].second[c]), 0)
+  ASSERT_EQ(expected.size(), batch_rows.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].first, batch_rows[i].first) << "record id at row " << i;
+    ASSERT_EQ(expected[i].second.size(), batch_rows[i].second.size());
+    for (size_t c = 0; c < expected[i].second.size(); ++c) {
+      EXPECT_EQ(expected[i].second[c].Compare(batch_rows[i].second[c]), 0)
           << "row " << i << " col " << c;
     }
   }
@@ -300,12 +316,13 @@ TEST_F(BatchScanTest, RowBatchAdapterRoundTripPreservesRowsAndIds) {
   Open(10, 4);
   InsertSequential(33);
   ScanSpec spec;
-  // Legacy rows -> batches -> rows must equal legacy rows directly.
-  auto direct = table_->ScanLegacyRows(spec);
+  // Rows -> batches -> rows must equal the rows directly.
+  auto direct = table_->Scan(spec);
   ASSERT_TRUE(direct.ok());
   auto direct_rows = Drain(direct->get());
+  ASSERT_EQ(direct_rows.size(), 33u);
 
-  auto inner = table_->ScanLegacyRows(spec);
+  auto inner = table_->Scan(spec);
   ASSERT_TRUE(inner.ok());
   auto round_trip = std::make_unique<BatchToRowAdapter>(
       std::make_unique<RowToBatchAdapter>(std::move(*inner),

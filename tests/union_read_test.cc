@@ -1,11 +1,12 @@
 // Focused unit tests of the UNION READ merge machinery (paper §III-C and
-// §V-B): master/attached stream alignment, per-file splits, projection
+// §V-B): master/attached stream alignment, per-file morsels, projection
 // overlay, and the record-ID invariants that make the merge a linear pass.
 #include <gtest/gtest.h>
 
 #include "dualtable/dual_table.h"
 #include "dualtable/record_id.h"
 #include "fs/filesystem.h"
+#include "table/scan_stats.h"
 
 namespace dtl::dual {
 namespace {
@@ -108,7 +109,7 @@ TEST_F(UnionReadTest, UpdateAfterDeleteMarkerStaysHidden) {
   EXPECT_EQ(*table_->CountRows(), 0u);
 }
 
-TEST_F(UnionReadTest, PerFileSplitsSeeOnlyTheirModifications) {
+TEST_F(UnionReadTest, PerFileMorselsSeeOnlyTheirModifications) {
   // Two master files; modify one record in each.
   for (int file = 0; file < 2; ++file) {
     std::vector<Row> rows;
@@ -127,22 +128,33 @@ TEST_F(UnionReadTest, PerFileSplitsSeeOnlyTheirModifications) {
                   .ok());
   table_->PublishEditCommit();
 
-  auto splits = table_->CreateSplits(table::ScanSpec{});
-  ASSERT_TRUE(splits.ok());
-  ASSERT_EQ(splits->size(), 2u);
+  // Each file is one morsel (the map-side merge unit); its UNION READ
+  // must see exactly the modification in its own record-ID window.
+  SnapshotPtr snapshot = table_->AcquireSnapshot();
+  auto morsels = table_->PlanScanMorselsAt(snapshot, table::ScanSpec{},
+                                           /*stripes_per_morsel=*/1000);
+  ASSERT_TRUE(morsels.ok());
+  ASSERT_EQ(morsels->size(), 2u);
   for (size_t s = 0; s < 2; ++s) {
-    auto it = (*splits)[s].open();
+    EXPECT_EQ((*morsels)[s].file_id, files[s].file_id);
+    table::ScanMeter meter;
+    auto it = table_->NewUnionReadBatchForMorselAt(snapshot, (*morsels)[s],
+                                                   table::ScanSpec{}, &meter);
     ASSERT_TRUE(it.ok());
     int modified = 0;
     int rows = 0;
-    while ((*it)->Next()) {
-      ++rows;
-      int64_t v = (*it)->row()[1].AsInt64();
-      if (v != 0) {
-        ++modified;
-        EXPECT_EQ(v, s == 0 ? 111 : 222);
+    table::RowBatch batch;
+    while ((*it)->Next(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        ++rows;
+        int64_t v = batch.ValueAt(1, i).AsInt64();
+        if (v != 0) {
+          ++modified;
+          EXPECT_EQ(v, s == 0 ? 111 : 222);
+        }
       }
     }
+    ASSERT_TRUE((*it)->status().ok());
     EXPECT_EQ(rows, 10);
     EXPECT_EQ(modified, 1);
   }
