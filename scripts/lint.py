@@ -45,6 +45,11 @@ Enforced invariants (see DESIGN.md §7):
                       pass a pinned generation as the first argument. The
                       snapshot machinery itself (master_table, attached_table,
                       snapshot.h) and the non-MVCC baselines are exempt.
+  9. one-planner      In src/sql, FindIndexProbe( is called only from
+                      Engine::PlanSelect: the SELECT route is chosen once, by
+                      the planner whose plan execution, EXPLAIN and EXPLAIN
+                      ANALYZE all read, so no second caller can re-derive
+                      (and drift from) the index-route decision.
 
 Usage:  scripts/lint.py [paths...]      (defaults to src/ tests/ bench/ examples/)
 Exit status: 0 clean, 1 findings (one line each: path:line: [rule] message).
@@ -126,6 +131,12 @@ MASTER_SCAN_RE = re.compile(
     r"\b(NewBatchScanIterator|NewFileBatchScanIterator|PlanMorsels|"
     r"NewMorselBatchScanIterator)\s*\(")
 PINNED_ARG_RE = re.compile(r"gen|snapshot", re.I)
+
+# Rule 9: the index-route decision has one caller, the SELECT planner.
+ONE_PLANNER_DIR = "src/sql/"
+INDEX_PROBE_CALL_RE = re.compile(r"\bFindIndexProbe\s*\(")
+PLANNER_FUNCTION = "PlanSelect"
+FUNCTION_NAME_RE = re.compile(r"([A-Za-z_][\w:]*)\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -285,6 +296,37 @@ def check_metric_name_registry(findings):
                          "form changed under the lint"))
 
 
+def enclosing_functions(text: str):
+    """Maps each offset of comment/string-stripped C++ `text` to the name of
+    the top-level function whose body contains it (None outside any body).
+    Namespace and class braces do not count as bodies, so an inline member
+    function is a top-level function too; the name is the first `name(` of
+    the declaration that precedes the body's opening brace."""
+    names = [None] * len(text)
+    stack = []  # True for a namespace/extern brace, False for a body brace
+    current = None
+    decl_start = 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            head = text[decl_start:i]
+            is_namespace = re.search(r"\b(namespace|extern|class|struct|union|enum)\b[^;{}()]*$",
+                                     head) is not None
+            if not is_namespace and not any(not b for b in stack):
+                m = FUNCTION_NAME_RE.search(head)
+                current = m.group(1).split("::")[-1] if m else None
+            stack.append(is_namespace)
+        elif ch == "}":
+            if stack:
+                stack.pop()
+            if not any(not b for b in stack):
+                current = None
+                decl_start = i + 1
+        elif ch == ";" and not any(not b for b in stack):
+            decl_start = i + 1
+        names[i] = current if any(not b for b in stack) else None
+    return names
+
+
 def check_file(path: Path, findings):
     raw = path.read_text()
     text = strip_comments_and_strings(raw)
@@ -401,6 +443,17 @@ def check_file(path: Path, findings):
                                      f"{m.group(1)} without a pinned generation; "
                                      "pass snapshot->generation so a racing "
                                      "COMPACT cannot tear the scan"))
+
+    # Rule 9: FindIndexProbe is called only from the SELECT planner.
+    if rp.startswith(ONE_PLANNER_DIR):
+        owners = None
+        for m in INDEX_PROBE_CALL_RE.finditer(text):
+            owners = owners or enclosing_functions(text)
+            owner = owners[m.start()]
+            if owner is not None and owner != PLANNER_FUNCTION:
+                findings.append((rp, text[:m.start()].count("\n") + 1, "one-planner",
+                                 f"FindIndexProbe called from {owner}; only "
+                                 f"{PLANNER_FUNCTION} chooses the SELECT route"))
 
     # Rule 5: no (void)-discarded calls; DTL_IGNORE_STATUS is the audit trail.
     if rp != "src/common/status.h":  # the macro's own definition

@@ -211,7 +211,7 @@ Status AcidTable::WriteDeltaFile(uint64_t txn, const std::vector<Row>& delta_row
 Result<table::DmlResult> AcidTable::Update(
     const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
   table::DmlResult result;
-  result.plan = table::DmlPlan::kDelta;
+  result.plan = kDmlPlan;
   result.rows_scanned = base_->TotalRows();
 
   std::vector<Row> delta_rows;
@@ -238,7 +238,7 @@ Result<table::DmlResult> AcidTable::Update(
 
 Result<table::DmlResult> AcidTable::Delete(const table::ScanSpec& filter) {
   table::DmlResult result;
-  result.plan = table::DmlPlan::kDelta;
+  result.plan = kDmlPlan;
   result.rows_scanned = base_->TotalRows();
 
   std::vector<Row> delta_rows;

@@ -40,6 +40,11 @@ class AcidTable : public table::StorageTable {
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 
+  /// The plan of every UPDATE and DELETE here; DmlResult::plan and EXPLAIN
+  /// both read it.
+  static constexpr table::DmlPlan kDmlPlan = table::DmlPlan::kDelta;
+  std::optional<table::DmlPlan> fixed_dml_plan() const override { return kDmlPlan; }
+
   /// Writes one new delta file holding the full updated records.
   Result<table::DmlResult> Update(const table::ScanSpec& filter,
                                   const std::vector<table::Assignment>& assignments) override;

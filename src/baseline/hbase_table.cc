@@ -134,7 +134,7 @@ Status HBaseTable::OverwriteRows(const std::vector<Row>& rows) {
 Result<table::DmlResult> HBaseTable::Update(
     const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
   table::DmlResult result;
-  result.plan = table::DmlPlan::kInPlace;
+  result.plan = kDmlPlan;
   // Phase 1: collect matches (cannot write into a live scan).
   std::vector<std::pair<uint64_t, Row>> matches;
   {
@@ -167,7 +167,7 @@ Result<table::DmlResult> HBaseTable::Update(
 
 Result<table::DmlResult> HBaseTable::Delete(const table::ScanSpec& filter) {
   table::DmlResult result;
-  result.plan = table::DmlPlan::kInPlace;
+  result.plan = kDmlPlan;
   std::vector<uint64_t> matches;
   {
     table::ScanSpec scan = filter;

@@ -30,6 +30,11 @@ class HBaseTable : public table::StorageTable {
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 
+  /// The plan of every UPDATE and DELETE here; DmlResult::plan and EXPLAIN
+  /// both read it.
+  static constexpr table::DmlPlan kDmlPlan = table::DmlPlan::kInPlace;
+  std::optional<table::DmlPlan> fixed_dml_plan() const override { return kDmlPlan; }
+
   /// In-place update: scan, then Put only the changed cells (the EDIT-like
   /// plan the paper implements for HBase-backed Hive with UDFs).
   Result<table::DmlResult> Update(const table::ScanSpec& filter,

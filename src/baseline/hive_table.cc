@@ -77,7 +77,7 @@ Result<uint64_t> HiveTable::Rewrite(const std::function<bool(Row*)>& transform) 
 Result<table::DmlResult> HiveTable::Update(
     const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
   table::DmlResult result;
-  result.plan = table::DmlPlan::kOverwrite;
+  result.plan = kDmlPlan;
   result.rows_scanned = storage_->TotalRows();
   auto transform = [&](Row* row) {
     if (!filter.predicate || filter.predicate(*row)) {
@@ -93,7 +93,7 @@ Result<table::DmlResult> HiveTable::Update(
 
 Result<table::DmlResult> HiveTable::Delete(const table::ScanSpec& filter) {
   table::DmlResult result;
-  result.plan = table::DmlPlan::kOverwrite;
+  result.plan = kDmlPlan;
   result.rows_scanned = storage_->TotalRows();
   auto transform = [&](Row* row) {
     if (!filter.predicate || filter.predicate(*row)) {

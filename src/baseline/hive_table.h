@@ -36,6 +36,11 @@ class HiveTable : public table::StorageTable {
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 
+  /// The plan of every UPDATE and DELETE here; DmlResult::plan and EXPLAIN
+  /// both read it.
+  static constexpr table::DmlPlan kDmlPlan = table::DmlPlan::kOverwrite;
+  std::optional<table::DmlPlan> fixed_dml_plan() const override { return kDmlPlan; }
+
   /// INSERT OVERWRITE translation of UPDATE: reads every row and every
   /// column, rewrites the whole table (paper Listing 2).
   Result<table::DmlResult> Update(const table::ScanSpec& filter,

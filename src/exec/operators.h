@@ -255,46 +255,13 @@ Result<std::vector<Row>> Collect(Operator* op);
 //
 // Same pull contract as table::BatchIterator: producers fill the caller's
 // RowBatch, never emit an empty batch, and the contents stay valid until the
-// next call. The executor uses this family for the SELECT fast path (scan ->
-// filter -> project -> limit) and bridges to the row operators above with
+// next call. The executor uses this family for the SELECT batch route (scan
+// with the pushed predicate -> project -> limit) and bridges to the row operators above with
 // table::BatchToRowAdapter where batches end (joins, aggregates, sorts).
 
-/// Batch pull operator.
+/// Batch pull operator. A storage BatchIterator is one, so it is the leaf of
+/// a batch pipeline as is.
 using BatchOperator = table::BatchIterator;
-
-/// Adapts a storage BatchIterator (the leaf of a batch pipeline).
-class BatchScanOperator : public BatchOperator {
- public:
-  explicit BatchScanOperator(std::unique_ptr<table::BatchIterator> it)
-      : it_(std::move(it)) {}
-  bool Next(table::RowBatch* batch) override { return it_->Next(batch); }
-  const Status& status() const override { return it_->status(); }
-
- private:
-  std::unique_ptr<table::BatchIterator> it_;
-};
-
-/// Vectorized filter: compresses each batch's selection vector through the
-/// predicate instead of copying surviving rows. All-dropped batches are
-/// consumed internally.
-class BatchFilterOperator : public BatchOperator {
- public:
-  BatchFilterOperator(std::unique_ptr<BatchOperator> child, PredFn pred)
-      : child_(std::move(child)), pred_(std::move(pred)) {}
-  bool Next(table::RowBatch* batch) override {
-    while (child_->Next(batch)) {
-      batch->FilterSelected(pred_, &scratch_);
-      if (!batch->empty()) return true;
-    }
-    return false;
-  }
-  const Status& status() const override { return child_->status(); }
-
- private:
-  std::unique_ptr<BatchOperator> child_;
-  PredFn pred_;
-  Row scratch_;
-};
 
 /// Vectorized projection. When every output is a plain column reference
 /// (`column_refs[i] >= 0` for all i) the output batch is zero-copy views of

@@ -68,8 +68,13 @@ bool ValueIsTrue(const Value& v) { return v.is_bool() && v.AsBool(); }
 void Scope::AddTable(const std::string& qualifier, const Schema& schema) {
   const std::string q = ToLower(qualifier);
   for (const Field& f : schema.fields()) {
-    columns_.push_back(ScopeColumn{q, ToLower(f.name), f.type});
+    columns_.push_back(ScopeColumn{q, ToLower(f.name)});
   }
+}
+
+void Scope::AddTable(const std::string& qualifier, const std::vector<std::string>& names) {
+  const std::string q = ToLower(qualifier);
+  for (const std::string& name : names) columns_.push_back(ScopeColumn{q, ToLower(name)});
 }
 
 Result<size_t> Scope::Resolve(const std::string& qualifier, const std::string& name) const {

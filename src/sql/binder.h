@@ -19,7 +19,6 @@ namespace dtl::sql {
 struct ScopeColumn {
   std::string qualifier;  // table alias (lowercase)
   std::string name;       // column name (lowercase)
-  DataType type = DataType::kNull;
 };
 
 /// Flattened row layout of the current FROM/JOIN chain: the row seen by
@@ -27,6 +26,8 @@ struct ScopeColumn {
 class Scope {
  public:
   void AddTable(const std::string& qualifier, const Schema& schema);
+  /// Same, for a derived table (FROM subquery) known only by column names.
+  void AddTable(const std::string& qualifier, const std::vector<std::string>& names);
 
   /// Resolves [qualifier.]name to a flat ordinal; errors on unknown or
   /// ambiguous names.

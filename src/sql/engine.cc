@@ -35,7 +35,7 @@ Status CollectColumns(const Expr& expr, const Scope& scope, std::set<size_t>* ou
 }
 
 /// Replaces column refs matching a SELECT alias with a clone of the aliased
-/// expression (HiveQL allows aliases in GROUP BY / HAVING / ORDER BY).
+/// expression (HiveQL allows aliases in WHERE / GROUP BY / HAVING / ORDER BY).
 ExprPtr SubstituteAliases(const Expr& expr, const std::vector<SelectItem>& items) {
   if (expr.kind == Expr::Kind::kColumnRef && expr.qualifier.empty()) {
     for (const SelectItem& item : items) {
@@ -49,45 +49,140 @@ ExprPtr SubstituteAliases(const Expr& expr, const std::vector<SelectItem>& items
   return copy;
 }
 
-struct TableSlot {
-  std::string qualifier;
-  std::shared_ptr<table::StorageTable> storage;  // null for derived tables
-  std::shared_ptr<std::vector<Row>> derived_rows;  // FROM (SELECT ...) results
-  size_t offset = 0;  // first flat ordinal of this table
-  size_t width = 0;
-  /// Statement snapshot, acquired at bind time when `storage` is a
-  /// DualTable. Every scan of this slot — serial, vectorized, parallel,
-  /// split — reads from it, so one statement sees one consistent view of
-  /// each table no matter what commits concurrently (repeatable read at
-  /// statement granularity).
-  dual::SnapshotPtr snapshot;
-};
-
-/// Schema for a derived table: column names from the subquery's output,
-/// types inferred from the first non-null value per column.
-Schema DeriveSchema(const QueryResult& result) {
-  std::vector<Field> fields;
-  for (size_t c = 0; c < result.column_names.size(); ++c) {
-    DataType type = DataType::kString;
-    for (const Row& row : result.rows) {
-      if (c >= row.size() || row[c].is_null()) continue;
-      if (row[c].is_int64()) type = DataType::kInt64;
-      else if (row[c].is_double()) type = DataType::kDouble;
-      else if (row[c].is_bool()) type = DataType::kBool;
-      else type = DataType::kString;
-      break;
-    }
-    fields.push_back(Field{result.column_names[c], type});
+/// Binds each conjunct against `scope` and ANDs them into one row predicate:
+/// a row passes when every conjunct is TRUE. `columns`, when given, receives
+/// the sorted ordinals the conjuncts read. (Defined here, not in binder.cc:
+/// there, GCC 12 -O3 inlined less into the compiled expression closures and
+/// a `col < col` predicate cost twice as much per row.)
+Result<table::RowPredicateFn> BindConjunction(const std::vector<const Expr*>& conjuncts,
+                                              const Scope& scope,
+                                              std::vector<size_t>* columns = nullptr) {
+  std::vector<exec::ValueFn> fns;
+  std::set<size_t> read;
+  for (const Expr* c : conjuncts) {
+    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, scope));
+    fns.push_back(std::move(bound.fn));
+    read.insert(bound.columns.begin(), bound.columns.end());
   }
-  return Schema(std::move(fields));
+  if (columns != nullptr) columns->assign(read.begin(), read.end());
+  if (fns.size() == 1) return MakePredicate(std::move(fns[0]));
+  return table::RowPredicateFn([fns = std::move(fns)](const Row& row) {
+    for (const auto& fn : fns) {
+      if (!ValueIsTrue(fn(row))) return false;
+    }
+    return true;
+  });
 }
 
+/// Binds pushed-down conjuncts into `spec`: the ANDed predicate, the columns
+/// it reads and the stats bounds it implies. No conjuncts leave `spec` as is.
+Status BindScanFilter(const std::vector<const Expr*>& conjuncts, const Scope& scope,
+                      table::ScanSpec* spec) {
+  if (conjuncts.empty()) return Status::OK();
+  DTL_ASSIGN_OR_RETURN(spec->predicate,
+                       BindConjunction(conjuncts, scope, &spec->predicate_columns));
+  spec->bounds = ExtractBounds(conjuncts, scope);
+  return Status::OK();
+}
+
+}  // namespace
+
+/// Which executor runs a planned SELECT (DESIGN.md §15 route table).
+enum class SelectRoute {
+  kParallelAggregate,  // morsel-parallel global aggregate over one DualTable
+  kIndexLookup,        // secondary-index probe on one DualTable
+  kBatch,              // batch pipeline: scan -> project -> limit
+  kRow,                // row operator tree: joins, aggregates, sorts
+};
+
+/// A SELECT planned once by Engine::PlanSelect. Engine::RunSelect executes
+/// it, EXPLAIN renders it, and EXPLAIN ANALYZE names one trace node per step,
+/// so all three describe the same operators in the same order.
+struct SelectPlan {
+  static constexpr size_t kNoSlot = ~size_t{0};
+
+  /// One FROM/JOIN table.
+  struct Slot {
+    std::string qualifier;
+    table::TableKind kind = table::TableKind::kDual;
+    std::shared_ptr<table::StorageTable> storage;  // null for derived tables
+    std::unique_ptr<SelectPlan> derived;           // FROM (SELECT ...) child plan
+    size_t offset = 0;  // first flat ordinal of this table
+    size_t width = 0;
+    /// Statement snapshot, pinned at plan time when `storage` is a DualTable.
+    /// Every scan of this slot — serial, vectorized, parallel, index — reads
+    /// from it, so one statement sees one consistent view of each table no
+    /// matter what commits concurrently (repeatable read at statement
+    /// granularity).
+    dual::SnapshotPtr snapshot;
+    /// The table's pushed-down scan: projection, the AND of the pushed WHERE
+    /// conjuncts and their stats bounds. A derived table applies only the
+    /// predicate, to its child plan's rows.
+    table::ScanSpec spec;
+    size_t pushed_conjuncts = 0;
+  };
+
+  enum class Op { kScan, kParallelScan, kIndexLookup, kJoin, kFilter, kAggregate, kSort,
+                  kProject, kLimit };
+
+  /// One operator, with its expressions already bound.
+  struct Step {
+    Op op = Op::kScan;
+    size_t slot = kNoSlot;  // table a scan reads or a join builds (and its ON filter)
+    /// Project outputs; sort, group or join-probe keys; index-lookup outputs;
+    /// parallel-scan outputs over the aggregate row.
+    std::vector<exec::ValueFn> fns;
+    std::vector<exec::ValueFn> build_keys;  // hash-join build side
+    std::vector<exec::AggSpec> aggs;        // hash-aggregate, parallel-scan
+    std::vector<bool> ascending;            // sort
+    std::vector<int> column_refs;  // batch project: input ordinal of a bare column ref, else -1
+    exec::PredFn predicate;        // filter
+  };
+
+  const SelectStmt* stmt = nullptr;
+  SelectRoute route = SelectRoute::kRow;
+  std::vector<Slot> slots;
+  std::vector<std::string> column_names;
+  /// Operators in execution order; the row route reads them as a postfix
+  /// program (a join pops its build and probe inputs).
+  std::vector<Step> steps;
+  /// Index route: the probed column ordinal and its probe values.
+  size_t probe_column = 0;
+  std::vector<Value> probes;
+};
+
+namespace {
+
+using Op = SelectPlan::Op;
+
+/// Trace and EXPLAIN name of each SelectPlan::Op, in enum order.
+constexpr const char* kOpNames[] = {
+    obs::names::kOpScan,      obs::names::kOpParallelScan, obs::names::kOpIndexLookup,
+    obs::names::kOpJoin,      obs::names::kOpFilter,       obs::names::kOpAggregate,
+    obs::names::kOpSort,      obs::names::kOpProject,      obs::names::kOpLimit};
+const char* OpName(Op op) { return kOpNames[static_cast<size_t>(op)]; }
+
+/// EXPLAIN name of each SelectRoute, in enum order.
+constexpr const char* kRouteNames[] = {"parallel aggregate", "index lookup", "batch", "row"};
+
 /// Index of the table a flat ordinal belongs to.
-size_t TableOf(const std::vector<TableSlot>& slots, size_t ordinal) {
+size_t TableOf(const std::vector<SelectPlan::Slot>& slots, size_t ordinal) {
   for (size_t i = 0; i < slots.size(); ++i) {
     if (ordinal >= slots[i].offset && ordinal < slots[i].offset + slots[i].width) return i;
   }
   return slots.size();
+}
+
+/// Single-table scope for binding a slot's pushed conjuncts and its
+/// build-side join keys.
+Scope LocalScope(const SelectPlan::Slot& slot) {
+  Scope local;
+  if (slot.storage != nullptr) {
+    local.AddTable(slot.qualifier, slot.storage->schema());
+  } else {
+    local.AddTable(slot.qualifier, slot.derived->column_names);
+  }
+  return local;
 }
 
 /// Scans `conjuncts` for one the secondary index can answer: `col = lit` or a
@@ -192,6 +287,73 @@ class TracedBatchOperator : public exec::BatchOperator {
   std::unique_ptr<exec::BatchOperator> child_;
   obs::TraceNode* node_;
 };
+
+/// EXPLAIN's rows for a plan: the route, then one line per step in execution
+/// order, `<op>[(<table>)]: <what it does>`, with a derived table's child
+/// plan nested under its scan.
+void RenderSelectPlan(const SelectPlan& plan, const std::string& indent,
+                      std::vector<Row>* lines) {
+  lines->push_back(Row{Value::String(
+      indent + "SELECT: " + kRouteNames[static_cast<size_t>(plan.route)] + " route")});
+  bool aggregated = false;
+  for (const SelectPlan::Step& step : plan.steps) {
+    const SelectPlan::Slot* slot =
+        step.slot == SelectPlan::kNoSlot ? nullptr : &plan.slots[step.slot];
+    std::string line = indent + "  " + OpName(step.op);
+    if (slot != nullptr) line += "(" + slot->qualifier + ")";
+    line += ": ";
+    switch (step.op) {
+      case Op::kParallelScan:
+        line += std::to_string(step.aggs.size()) + " aggregate(s) over morsel workers, ";
+        [[fallthrough]];
+      case Op::kScan:
+        if (slot->derived != nullptr) {
+          line += "derived table";
+        } else {
+          line += table::TableKindName(slot->kind);
+          if (slot->kind == table::TableKind::kDual) line += ", UNION READ";
+        }
+        if (slot->pushed_conjuncts > 0) {
+          line += ", " + std::to_string(slot->pushed_conjuncts) + " conjunct(s) pushed";
+        }
+        break;
+      case Op::kIndexLookup:
+        line += "index lookup: column '" +
+                slot->storage->schema().field(plan.probe_column).name + "', " +
+                std::to_string(plan.probes.size()) + " probe(s)";
+        break;
+      case Op::kJoin: {
+        const JoinClause& join = plan.stmt->joins[step.slot - 1];
+        line += std::string(join.left_outer ? "left outer" : "inner") + " on " +
+                join.on->ToString();
+        break;
+      }
+      case Op::kFilter:
+        line += slot != nullptr ? "non-equi ON terms"
+                : aggregated    ? "HAVING"
+                                : "WHERE terms spanning tables";
+        break;
+      case Op::kAggregate:
+        aggregated = true;
+        line += std::to_string(step.fns.size()) + " group key(s), " +
+                std::to_string(step.aggs.size()) + " aggregate(s)";
+        break;
+      case Op::kSort:
+        line += std::to_string(step.fns.size()) + " key(s)";
+        break;
+      case Op::kProject:
+        line += std::to_string(step.fns.size()) + " column(s)";
+        break;
+      case Op::kLimit:
+        line += std::to_string(*plan.stmt->limit) + " row(s)";
+        break;
+    }
+    lines->push_back(Row{Value::String(std::move(line))});
+    if (step.op == Op::kScan && slot->derived != nullptr) {
+      RenderSelectPlan(*slot->derived, indent + "    ", lines);
+    }
+  }
+}
 
 }  // namespace
 
@@ -344,44 +506,34 @@ Result<QueryResult> Engine::DispatchStatement(const Statement& stmt) {
   if (exec_.metrics != nullptr) {
     exec_.metrics->counter(obs::names::kSqlStatements)->Inc();
   }
-  auto count = [this](const char* kind) {
+  auto spanned = [this](const char* kind, const auto& execute) {
     if (exec_.metrics != nullptr) {
       exec_.metrics->counter(obs::names::kSqlStatements, kind)->Inc();
     }
+    obs::Span span(exec_.tracer, kind);
+    return execute();
   };
   if (const auto* s = std::get_if<SelectStmt>(&stmt)) {
-    count(obs::names::kSpanSelect);
-    obs::Span span(exec_.tracer, obs::names::kSpanSelect);
-    return ExecuteSelect(*s);
+    return spanned(obs::names::kSpanSelect, [&] { return ExecuteSelect(*s); });
   }
   if (const auto* s = std::get_if<CreateTableStmt>(&stmt)) return ExecuteCreate(*s);
   if (const auto* s = std::get_if<DropTableStmt>(&stmt)) return ExecuteDrop(*s);
   if (const auto* s = std::get_if<InsertStmt>(&stmt)) {
-    count(obs::names::kSpanInsert);
-    obs::Span span(exec_.tracer, obs::names::kSpanInsert);
-    return ExecuteInsert(*s);
+    return spanned(obs::names::kSpanInsert, [&] { return ExecuteInsert(*s); });
   }
   if (const auto* s = std::get_if<UpdateStmt>(&stmt)) {
-    count(obs::names::kSpanUpdate);
-    obs::Span span(exec_.tracer, obs::names::kSpanUpdate);
-    return ExecuteUpdate(*s);
+    return spanned(obs::names::kSpanUpdate, [&] { return ExecuteUpdate(*s); });
   }
   if (const auto* s = std::get_if<DeleteStmt>(&stmt)) {
-    count(obs::names::kSpanDelete);
-    obs::Span span(exec_.tracer, obs::names::kSpanDelete);
-    return ExecuteDelete(*s);
+    return spanned(obs::names::kSpanDelete, [&] { return ExecuteDelete(*s); });
   }
   if (const auto* s = std::get_if<CompactStmt>(&stmt)) {
-    count(obs::names::kSpanCompact);
-    obs::Span span(exec_.tracer, obs::names::kSpanCompact);
-    return ExecuteCompact(*s);
+    return spanned(obs::names::kSpanCompact, [&] { return ExecuteCompact(*s); });
   }
   if (std::get_if<ShowTablesStmt>(&stmt)) return ExecuteShowTables();
   if (const auto* s = std::get_if<ShowStatsStmt>(&stmt)) return ExecuteShowStats(*s);
   if (const auto* s = std::get_if<MergeStmt>(&stmt)) {
-    count(obs::names::kSpanMerge);
-    obs::Span span(exec_.tracer, obs::names::kSpanMerge);
-    return ExecuteMerge(*s);
+    return spanned(obs::names::kSpanMerge, [&] { return ExecuteMerge(*s); });
   }
   if (const auto* s = std::get_if<LoadStmt>(&stmt)) return ExecuteLoad(*s);
   if (const auto* s = std::get_if<ExplainStmt>(&stmt)) return ExecuteExplain(*s);
@@ -389,27 +541,41 @@ Result<QueryResult> Engine::DispatchStatement(const Statement& stmt) {
 }
 
 Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
-  // Everything before the execute node is "bind": resolution, expression
-  // binding, and plan assembly. EXPLAIN ANALYZE reports it as one leaf.
+  // Planning is the `bind` stage; every scan opens inside `execute`.
   obs::Tracer* tracer = exec_.tracer;
-  const bool traced = tracer != nullptr && tracer->active();
   Stopwatch bind_watch;
+  DTL_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt));
+  obs::TraceNode* exec_node = nullptr;
+  if (tracer != nullptr && tracer->active()) {
+    tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
+    exec_node = tracer->AddNode(obs::names::kSpanExecute);
+  }
+  obs::Span exec_span(tracer, exec_node);
+  QueryResult result;
+  DTL_ASSIGN_OR_RETURN(result.rows, RunSelect(plan, exec_node));
+  result.column_names = std::move(plan.column_names);
+  return result;
+}
+
+Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
+  SelectPlan plan;
+  plan.stmt = &stmt;
+  std::vector<SelectPlan::Slot>& slots = plan.slots;
 
   // ---- resolve tables and build the flat scope ----
-  std::vector<TableSlot> slots;
   Scope scope;
   auto add_table = [&](const TableRef& ref) -> Status {
-    TableSlot slot;
+    SelectPlan::Slot slot;
     slot.qualifier = ref.EffectiveName();
     slot.offset = scope.num_columns();
     if (ref.subquery != nullptr) {
-      DTL_ASSIGN_OR_RETURN(QueryResult sub, ExecuteSelect(*ref.subquery));
-      Schema schema = DeriveSchema(sub);
-      slot.derived_rows = std::make_shared<std::vector<Row>>(std::move(sub.rows));
-      slot.width = schema.num_fields();
-      scope.AddTable(slot.qualifier, schema);
+      DTL_ASSIGN_OR_RETURN(SelectPlan child, PlanSelect(*ref.subquery));
+      slot.width = child.column_names.size();
+      scope.AddTable(slot.qualifier, child.column_names);
+      slot.derived = std::make_unique<SelectPlan>(std::move(child));
     } else {
       DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(ref.table));
+      slot.kind = entry.kind;
       slot.storage = entry.table;
       slot.width = entry.table->schema().num_fields();
       scope.AddTable(slot.qualifier, entry.table->schema());
@@ -435,7 +601,6 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
 
   // ---- expand stars and collect referenced columns ----
   std::vector<const Expr*> select_exprs;
-  std::vector<std::string> column_names;
   std::vector<ExprPtr> star_storage;
   for (const SelectItem& item : stmt.items) {
     if (item.star) {
@@ -443,17 +608,17 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
         star_storage.push_back(
             MakeColumnRef(scope.column(i).qualifier, scope.column(i).name));
         select_exprs.push_back(star_storage.back().get());
-        column_names.push_back(scope.column(i).name);
+        plan.column_names.push_back(scope.column(i).name);
       }
       continue;
     }
     select_exprs.push_back(item.expr.get());
     if (!item.alias.empty()) {
-      column_names.push_back(item.alias);
+      plan.column_names.push_back(item.alias);
     } else if (item.expr->kind == Expr::Kind::kColumnRef) {
-      column_names.push_back(item.expr->column);
+      plan.column_names.push_back(item.expr->column);
     } else {
-      column_names.push_back(item.expr->ToString());
+      plan.column_names.push_back(item.expr->ToString());
     }
   }
 
@@ -492,329 +657,102 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
     }
   }
 
-  // ---- per-table scans ----
-  auto local_scope = [&](const TableSlot& slot) {
-    Scope local;
-    if (slot.storage != nullptr) {
-      local.AddTable(slot.qualifier, slot.storage->schema());
-    } else {
-      std::vector<Field> fields;
-      for (size_t i = slot.offset; i < slot.offset + slot.width; ++i) {
-        fields.push_back(Field{scope.column(i).name, scope.column(i).type});
-      }
-      local.AddTable(slot.qualifier, Schema(std::move(fields)));
-    }
-    return local;
-  };
-
-  // Execute node of the trace tree; operator decorators hang flat child
-  // nodes off it. Created lazily right before each execution strategy so
-  // untraced queries skip the whole apparatus.
-  obs::TraceNode* exec_node = nullptr;
-  auto traced_op = [&](std::unique_ptr<exec::Operator> op, const char* name,
-                       std::string detail =
-                           std::string()) -> std::unique_ptr<exec::Operator> {
-    if (exec_node == nullptr) return op;
-    return std::make_unique<TracedOperator>(
-        std::move(op), tracer->AddNode(name, std::move(detail), exec_node));
-  };
-  auto traced_bop = [&](std::unique_ptr<exec::BatchOperator> op, const char* name,
-                        std::string detail =
-                            std::string()) -> std::unique_ptr<exec::BatchOperator> {
-    if (exec_node == nullptr) return op;
-    return std::make_unique<TracedBatchOperator>(
-        std::move(op), tracer->AddNode(name, std::move(detail), exec_node));
-  };
-
-  auto build_scan = [&](size_t slot_index) -> Result<std::unique_ptr<exec::Operator>> {
-    const TableSlot& slot = slots[slot_index];
-    // Rebind pushed conjuncts against a single-table scope.
-    Scope local = local_scope(slot);
-    if (slot.storage == nullptr) {
-      // Derived table: materialized rows, filtered in memory.
-      std::unique_ptr<exec::Operator> op =
-          std::make_unique<exec::RowsOperator>(*slot.derived_rows);
-      if (!pushed[slot_index].empty()) {
-        std::vector<exec::ValueFn> fns;
-        for (const Expr* c : pushed[slot_index]) {
-          DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-          fns.push_back(std::move(bound.fn));
-        }
-        op = std::make_unique<exec::FilterOperator>(std::move(op),
-                                                    [fns](const Row& row) {
-                                                      for (const auto& fn : fns) {
-                                                        if (!ValueIsTrue(fn(row))) return false;
-                                                      }
-                                                      return true;
-                                                    });
-      }
-      return op;
-    }
-    table::ScanSpec spec;
-    spec.meter = exec_.scan_meter;
+  // ---- one pushed-down scan per table ----
+  std::vector<Scope> local_scopes;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    SelectPlan::Slot& slot = slots[i];
+    slot.spec.meter = exec_.scan_meter;
     for (size_t ord : needed) {
-      if (TableOf(slots, ord) == slot_index) spec.projection.push_back(ord - slot.offset);
+      if (TableOf(slots, ord) == i) slot.spec.projection.push_back(ord - slot.offset);
     }
-    if (spec.projection.empty()) spec.projection.push_back(0);
-    if (!pushed[slot_index].empty()) {
-      // AND together the pushed conjuncts.
-      std::vector<exec::ValueFn> fns;
-      std::set<size_t> pred_cols;
-      for (const Expr* c : pushed[slot_index]) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-        fns.push_back(std::move(bound.fn));
-        pred_cols.insert(bound.columns.begin(), bound.columns.end());
-      }
-      spec.predicate = [fns](const Row& row) {
-        for (const auto& fn : fns) {
-          if (!ValueIsTrue(fn(row))) return false;
-        }
-        return true;
-      };
-      spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-      spec.bounds = ExtractBounds(pushed[slot_index], local);
-    }
-    std::unique_ptr<table::RowIterator> it;
-    if (slot.snapshot != nullptr) {
-      auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-      DTL_ASSIGN_OR_RETURN(it, dual->ScanAt(slot.snapshot, spec));
-    } else {
-      DTL_ASSIGN_OR_RETURN(it, slot.storage->Scan(spec));
-    }
-    return traced_op(std::make_unique<exec::ScanOperator>(std::move(it)),
-                     obs::names::kOpScan, slot.qualifier);
-  };
+    if (slot.spec.projection.empty()) slot.spec.projection.push_back(0);
+    local_scopes.push_back(LocalScope(slot));
+    DTL_RETURN_NOT_OK(BindScanFilter(pushed[i], local_scopes[i], &slot.spec));
+    slot.pushed_conjuncts = pushed[i].size();
+  }
 
-  bool has_aggregate = having != nullptr;
+  // ---- route ----
+  bool has_aggregate = having != nullptr || !group_by.empty();
   for (const Expr* e : select_exprs) has_aggregate |= ContainsAggregate(*e);
   for (const auto& o : order_exprs) has_aggregate |= ContainsAggregate(*o);
-  has_aggregate |= !group_by.empty();
-
-  // ---- parallel global-aggregate fast path ----
+  const bool single_table = stmt.joins.empty() && slots[0].storage != nullptr;
+  auto* dual =
+      single_table ? dynamic_cast<dual::DualTable*>(slots[0].storage.get()) : nullptr;
   // Single-DualTable global aggregates (no GROUP BY/HAVING/ORDER BY) are
-  // order-insensitive: morsel workers build partial AggStates, merged at one
-  // barrier, and the result is identical to the serial plan. Everything else
-  // stays on the serial iterators below — that is the ordering contract.
-  if (exec_.parallelism > 1 && exec_.pool != nullptr && stmt.joins.empty() &&
-      slots.size() == 1 && slots[0].storage != nullptr && has_aggregate &&
+  // order-insensitive: morsel workers build partial AggStates merged at one
+  // barrier, identical to the serial plan. Every other plan stays serial —
+  // that is the ordering contract.
+  if (dual != nullptr && exec_.parallelism > 1 && exec_.pool != nullptr && has_aggregate &&
       group_by.empty() && having == nullptr && order_exprs.empty()) {
-    auto* dual = dynamic_cast<dual::DualTable*>(slots[0].storage.get());
-    if (dual != nullptr) {
-      Scope local = local_scope(slots[0]);
-      table::ScanSpec spec;
-      spec.meter = exec_.scan_meter;
-      for (size_t ord : needed) spec.projection.push_back(ord);
-      if (spec.projection.empty()) spec.projection.push_back(0);
-      if (!pushed[0].empty()) {
-        std::vector<exec::ValueFn> fns;
-        std::set<size_t> pred_cols;
-        for (const Expr* c : pushed[0]) {
-          DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-          fns.push_back(std::move(bound.fn));
-          pred_cols.insert(bound.columns.begin(), bound.columns.end());
-        }
-        spec.predicate = [fns](const Row& row) {
-          for (const auto& fn : fns) {
-            if (!ValueIsTrue(fn(row))) return false;
-          }
-          return true;
-        };
-        spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-        spec.bounds = ExtractBounds(pushed[0], local);
-      }
-      std::vector<const Expr*> agg_ptrs;
-      for (const Expr* e : select_exprs) CollectAggregates(*e, &agg_ptrs);
-      std::vector<exec::AggSpec> agg_specs;
-      for (const Expr* a : agg_ptrs) {
-        DTL_ASSIGN_OR_RETURN(exec::AggSpec aspec, BindAggregateCall(*a, scope));
-        agg_specs.push_back(std::move(aspec));
-      }
-      exec::ParallelScanOptions popts;
-      popts.pool = exec_.pool;
-      popts.parallelism = exec_.parallelism;
-      popts.morsel_stripes = exec_.morsel_stripes;
-      popts.metrics = exec_.metrics;
-      popts.snapshot = slots[0].snapshot;
-      exec::ParallelScanner scanner(dual, std::move(spec), popts);
-      if (traced) {
-        tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-        exec_node = tracer->AddNode(obs::names::kSpanExecute);
-        tracer->AddNode(obs::names::kOpParallelScan, slots[0].qualifier, exec_node);
-      }
-      obs::Span exec_span(tracer, exec_node);
-      DTL_ASSIGN_OR_RETURN(Row agg_row, scanner.Aggregate(agg_specs));
-      // agg_row holds the finalized aggregates in agg_ptrs order — the same
-      // layout HashAggregateOperator emits for a keyless aggregate, so the
-      // post-aggregate binder applies unchanged.
-      std::vector<const Expr*> group_ptrs;
-      Row out;
-      out.reserve(select_exprs.size());
-      for (const Expr* e : select_exprs) {
-        DTL_ASSIGN_OR_RETURN(exec::ValueFn fn,
-                             BindPostAggregate(*e, group_ptrs, agg_ptrs, scope));
-        out.push_back(fn(agg_row));
-      }
-      QueryResult result;
-      result.column_names = std::move(column_names);
-      if (!stmt.limit.has_value() || *stmt.limit > 0) {
-        result.rows.push_back(std::move(out));
-      }
-      return result;
-    }
+    plan.route = SelectRoute::kParallelAggregate;
+  } else if (single_table && !has_aggregate && order_exprs.empty()) {
+    // `WHERE <indexed col> = <lit>` (or IN (...)) resolves through the
+    // secondary index. All pushed conjuncts still run as the residual
+    // predicate and record-id order equals scan order, so the output is
+    // identical to the scan's.
+    const bool indexed = dual != nullptr && slots[0].snapshot->has_index &&
+                         dual->secondary_index() != nullptr && !pushed[0].empty();
+    plan.route = indexed && FindIndexProbe(pushed[0], local_scopes[0], dual->schema(),
+                                           *dual->secondary_index(), &plan.probe_column,
+                                           &plan.probes)
+                     ? SelectRoute::kIndexLookup
+                     : SelectRoute::kBatch;
   }
 
-  // ---- index point-lookup fast path ----
-  // `WHERE <indexed col> = <lit>` (or IN (...)) on a single DualTable resolves
-  // through the secondary index: candidate record ids -> targeted stripe
-  // fetches through the shared cache -> delta patch -> probe re-verify. All
-  // pushed conjuncts still run as the residual predicate and record-id order
-  // equals scan order, so the output is identical to the full-scan plan.
-  if (stmt.joins.empty() && slots.size() == 1 && slots[0].storage != nullptr &&
-      !has_aggregate && order_exprs.empty() && slots[0].snapshot != nullptr &&
-      slots[0].snapshot->has_index && !pushed[0].empty()) {
-    const TableSlot& slot = slots[0];
-    auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-    Scope local = local_scope(slot);
-    size_t probe_column = 0;
-    std::vector<Value> probes;
-    if (dual->secondary_index() != nullptr &&
-        FindIndexProbe(pushed[0], local, slot.storage->schema(),
-                       *dual->secondary_index(), &probe_column, &probes)) {
-      table::ScanSpec spec;
-      spec.meter = exec_.scan_meter;
-      for (size_t ord : needed) spec.projection.push_back(ord);
-      if (spec.projection.empty()) spec.projection.push_back(0);
-      std::vector<exec::ValueFn> fns;
-      std::set<size_t> pred_cols;
-      for (const Expr* c : pushed[0]) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-        fns.push_back(std::move(bound.fn));
-        pred_cols.insert(bound.columns.begin(), bound.columns.end());
-      }
-      spec.predicate = [fns](const Row& row) {
-        for (const auto& fn : fns) {
-          if (!ValueIsTrue(fn(row))) return false;
-        }
-        return true;
-      };
-      spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-      std::vector<exec::ValueFn> output_fns;
-      for (const Expr* e : select_exprs) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
-        output_fns.push_back(std::move(bound.fn));
-      }
-      obs::TraceNode* lookup_node = nullptr;
-      if (traced) {
-        tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-        exec_node = tracer->AddNode(obs::names::kSpanExecute);
-        lookup_node = tracer->AddNode(obs::names::kOpIndexLookup, slot.qualifier,
-                                      exec_node);
-      }
-      obs::Span exec_span(tracer, exec_node);
-      Stopwatch lookup_watch;
-      DTL_ASSIGN_OR_RETURN(auto matches,
-                           dual->IndexLookupAt(slot.snapshot, probe_column, probes, spec));
-      if (lookup_node != nullptr) {
-        lookup_node->stats.wall_seconds += lookup_watch.ElapsedSeconds();
-        lookup_node->stats.rows += matches.size();
-      }
-      QueryResult result;
-      result.column_names = std::move(column_names);
-      for (auto& [rid, row] : matches) {
-        (void)rid;
-        if (stmt.limit.has_value() && result.rows.size() >= *stmt.limit) break;
-        Row out_row;
-        out_row.reserve(output_fns.size());
-        for (const auto& fn : output_fns) out_row.push_back(fn(row));
-        result.rows.push_back(std::move(out_row));
-      }
-      return result;
-    }
-  }
-
-  // ---- vectorized fast path ----
-  // Single-table SELECT with no join/aggregate/order runs batch-at-a-time:
-  // storage batches (predicate applied inside the scan, same contract as the
-  // row path) -> vectorized projection -> vectorized limit. Rows are only
-  // materialized at the result boundary. On a single-table query every WHERE
-  // conjunct is pushable, so `residual` is necessarily empty here.
-  if (stmt.joins.empty() && slots.size() == 1 && slots[0].storage != nullptr &&
-      !has_aggregate && order_exprs.empty()) {
-    const TableSlot& slot = slots[0];
-    Scope local = local_scope(slot);
-    table::ScanSpec spec;
-    spec.meter = exec_.scan_meter;
-    for (size_t ord : needed) spec.projection.push_back(ord);
-    if (spec.projection.empty()) spec.projection.push_back(0);
-    if (!pushed[0].empty()) {
-      std::vector<exec::ValueFn> fns;
-      std::set<size_t> pred_cols;
-      for (const Expr* c : pushed[0]) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-        fns.push_back(std::move(bound.fn));
-        pred_cols.insert(bound.columns.begin(), bound.columns.end());
-      }
-      spec.predicate = [fns](const Row& row) {
-        for (const auto& fn : fns) {
-          if (!ValueIsTrue(fn(row))) return false;
-        }
-        return true;
-      };
-      spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-      spec.bounds = ExtractBounds(pushed[0], local);
-    }
-    if (traced) exec_node = tracer->AddNode(obs::names::kSpanExecute);
-    std::unique_ptr<table::BatchIterator> it;
-    if (slot.snapshot != nullptr) {
-      auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-      DTL_ASSIGN_OR_RETURN(it, dual->ScanBatchesAt(slot.snapshot, spec));
-    } else {
-      DTL_ASSIGN_OR_RETURN(it, slot.storage->ScanBatches(spec));
-    }
-    std::unique_ptr<exec::BatchOperator> bplan = traced_bop(
-        std::make_unique<exec::BatchScanOperator>(std::move(it)),
-        obs::names::kOpScan, slot.qualifier);
-    std::vector<exec::ValueFn> output_fns;
-    std::vector<int> column_refs;
+  // ---- operator steps, in execution order ----
+  auto add_step = [&plan](Op op, size_t slot = SelectPlan::kNoSlot) -> SelectPlan::Step& {
+    SelectPlan::Step& step = plan.steps.emplace_back();
+    step.op = op;
+    step.slot = slot;
+    return step;
+  };
+  auto bind_outputs = [&](SelectPlan::Step* step) -> Status {
     for (const Expr* e : select_exprs) {
       DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
-      column_refs.push_back(e->kind == Expr::Kind::kColumnRef && bound.columns.size() == 1
-                                ? static_cast<int>(*bound.columns.begin())
-                                : -1);
-      output_fns.push_back(std::move(bound.fn));
+      if (plan.route == SelectRoute::kBatch) {
+        step->column_refs.push_back(
+            e->kind == Expr::Kind::kColumnRef && bound.columns.size() == 1
+                ? static_cast<int>(bound.columns.front())
+                : -1);
+      }
+      step->fns.push_back(std::move(bound.fn));
     }
-    bplan = traced_bop(std::make_unique<exec::BatchProjectOperator>(
-                           std::move(bplan), std::move(output_fns),
-                           std::move(column_refs)),
-                       obs::names::kOpProject);
-    if (stmt.limit.has_value()) {
-      bplan = traced_bop(
-          std::make_unique<exec::BatchLimitOperator>(std::move(bplan), *stmt.limit),
-          obs::names::kOpLimit);
-    }
-    QueryResult result;
-    result.column_names = std::move(column_names);
-    if (traced) tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-    {
-      obs::Span exec_span(tracer, exec_node);
-      DTL_ASSIGN_OR_RETURN(result.rows, exec::CollectBatches(bplan.get()));
-    }
-    return result;
-  }
+    return Status::OK();
+  };
 
-  // ---- join tree (left-deep; probe = accumulated left, build = new table) ----
-  if (traced) exec_node = tracer->AddNode(obs::names::kSpanExecute);
-  DTL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> plan, build_scan(0));
+  if (plan.route == SelectRoute::kParallelAggregate) {
+    SelectPlan::Step& step = add_step(Op::kParallelScan, 0);
+    std::vector<const Expr*> agg_ptrs;
+    for (const Expr* e : select_exprs) CollectAggregates(*e, &agg_ptrs);
+    for (const Expr* a : agg_ptrs) {
+      DTL_ASSIGN_OR_RETURN(exec::AggSpec spec, BindAggregateCall(*a, scope));
+      step.aggs.push_back(std::move(spec));
+    }
+    // The scanner's aggregate row has the layout HashAggregateOperator emits
+    // for a keyless aggregate, so the post-aggregate binder applies.
+    for (const Expr* e : select_exprs) {
+      DTL_ASSIGN_OR_RETURN(exec::ValueFn fn, BindPostAggregate(*e, {}, agg_ptrs, scope));
+      step.fns.push_back(std::move(fn));
+    }
+    return plan;
+  }
+  if (plan.route == SelectRoute::kIndexLookup) {
+    DTL_RETURN_NOT_OK(bind_outputs(&add_step(Op::kIndexLookup, 0)));
+    return plan;
+  }
+  // Batch and row routes: a left-deep join tree (probe = accumulated left,
+  // build = the new table), residual filters, then aggregation, sort,
+  // project, limit. A batch plan is the join-, filter-, aggregate- and
+  // sort-free case: on one table every WHERE conjunct is pushed into the scan.
+  add_step(Op::kScan, 0);
   for (size_t j = 0; j < stmt.joins.size(); ++j) {
     const JoinClause& join = stmt.joins[j];
-    const TableSlot& right = slots[j + 1];
     // Split the ON condition into equi pairs (left vs right) + residual.
     std::vector<const Expr*> on_terms;
     SplitConjuncts(*join.on, &on_terms);
     std::vector<exec::ValueFn> probe_keys;
     std::vector<exec::ValueFn> build_keys;
     std::vector<const Expr*> on_residual;
-    Scope right_scope = local_scope(right);
     for (const Expr* term : on_terms) {
       bool handled = false;
       if (term->kind == Expr::Kind::kBinary && term->op == "=") {
@@ -835,16 +773,12 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
             }
             return all_right ? 1 : (all_left ? 0 : -1);
           };
-          int side_a = side(ca), side_b = side(cb);
-          if (side_a == 0 && side_b == 1) {
-            DTL_ASSIGN_OR_RETURN(BoundExpr pk, BindScalar(*a, scope));
-            DTL_ASSIGN_OR_RETURN(BoundExpr bk, BindScalar(*b, right_scope));
-            probe_keys.push_back(std::move(pk.fn));
-            build_keys.push_back(std::move(bk.fn));
-            handled = true;
-          } else if (side_a == 1 && side_b == 0) {
-            DTL_ASSIGN_OR_RETURN(BoundExpr pk, BindScalar(*b, scope));
-            DTL_ASSIGN_OR_RETURN(BoundExpr bk, BindScalar(*a, right_scope));
+          const int side_a = side(ca), side_b = side(cb);
+          if ((side_a == 0 && side_b == 1) || (side_a == 1 && side_b == 0)) {
+            const Expr* left = side_a == 0 ? a : b;
+            const Expr* right = side_a == 0 ? b : a;
+            DTL_ASSIGN_OR_RETURN(BoundExpr pk, BindScalar(*left, scope));
+            DTL_ASSIGN_OR_RETURN(BoundExpr bk, BindScalar(*right, local_scopes[j + 1]));
             probe_keys.push_back(std::move(pk.fn));
             build_keys.push_back(std::move(bk.fn));
             handled = true;
@@ -859,54 +793,31 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
     if (join.left_outer && !on_residual.empty()) {
       return Status::NotSupported("LEFT OUTER JOIN supports only equi ON conditions");
     }
-    DTL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> build_op, build_scan(j + 1));
-    plan = traced_op(
-        std::make_unique<exec::HashJoinOperator>(
-            std::move(plan), std::move(build_op), std::move(probe_keys),
-            std::move(build_keys), right.width,
-            join.left_outer ? exec::HashJoinOperator::Kind::kLeftOuter
-                            : exec::HashJoinOperator::Kind::kInner),
-        obs::names::kOpJoin, right.qualifier);
+    add_step(Op::kScan, j + 1);
+    SelectPlan::Step& join_step = add_step(Op::kJoin, j + 1);
+    join_step.fns = std::move(probe_keys);
+    join_step.build_keys = std::move(build_keys);
     // Residual ON terms of an inner join become a post-join filter.
     if (!on_residual.empty()) {
-      std::vector<exec::ValueFn> fns;
-      for (const Expr* term : on_residual) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*term, scope));
-        fns.push_back(std::move(bound.fn));
-      }
-      plan = traced_op(std::make_unique<exec::FilterOperator>(
-                           std::move(plan),
-                           [fns](const Row& row) {
-                             for (const auto& fn : fns) {
-                               if (!ValueIsTrue(fn(row))) return false;
-                             }
-                             return true;
-                           }),
-                       obs::names::kOpFilter);
+      DTL_ASSIGN_OR_RETURN(add_step(Op::kFilter, j + 1).predicate,
+                           BindConjunction(on_residual, scope));
     }
   }
-
-  // ---- residual WHERE ----
   if (!residual.empty()) {
-    std::vector<exec::ValueFn> fns;
-    for (const Expr* c : residual) {
-      DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, scope));
-      fns.push_back(std::move(bound.fn));
-    }
-    plan = traced_op(
-        std::make_unique<exec::FilterOperator>(std::move(plan),
-                                               [fns](const Row& row) {
-                                                 for (const auto& fn : fns) {
-                                                   if (!ValueIsTrue(fn(row))) return false;
-                                                 }
-                                                 return true;
-                                               }),
-        obs::names::kOpFilter);
+    DTL_ASSIGN_OR_RETURN(add_step(Op::kFilter).predicate, BindConjunction(residual, scope));
   }
 
-  // ---- aggregation / projection ----
-  std::vector<exec::ValueFn> output_fns;
-  if (has_aggregate) {
+  if (!has_aggregate) {
+    if (!order_exprs.empty()) {
+      SelectPlan::Step& sort = add_step(Op::kSort);
+      for (size_t i = 0; i < order_exprs.size(); ++i) {
+        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*order_exprs[i], scope));
+        sort.fns.push_back(std::move(bound.fn));
+        sort.ascending.push_back(stmt.order_by[i].ascending);
+      }
+    }
+    DTL_RETURN_NOT_OK(bind_outputs(&add_step(Op::kProject)));
+  } else {
     std::vector<const Expr*> group_ptrs;
     for (const auto& g : group_by) group_ptrs.push_back(g.get());
     std::vector<const Expr*> agg_ptrs;
@@ -914,79 +825,195 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
     if (having) CollectAggregates(*having, &agg_ptrs);
     for (const auto& o : order_exprs) CollectAggregates(*o, &agg_ptrs);
 
-    std::vector<exec::ValueFn> key_fns;
+    SelectPlan::Step& aggregate = add_step(Op::kAggregate);
     for (const Expr* g : group_ptrs) {
       DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*g, scope));
-      key_fns.push_back(std::move(bound.fn));
+      aggregate.fns.push_back(std::move(bound.fn));
     }
-    std::vector<exec::AggSpec> agg_specs;
     for (const Expr* a : agg_ptrs) {
       DTL_ASSIGN_OR_RETURN(exec::AggSpec spec, BindAggregateCall(*a, scope));
-      agg_specs.push_back(std::move(spec));
+      aggregate.aggs.push_back(std::move(spec));
     }
-    plan = traced_op(std::make_unique<exec::HashAggregateOperator>(
-                         std::move(plan), std::move(key_fns), std::move(agg_specs)),
-                     obs::names::kOpAggregate);
     if (having) {
       DTL_ASSIGN_OR_RETURN(exec::ValueFn fn,
                            BindPostAggregate(*having, group_ptrs, agg_ptrs, scope));
-      plan = traced_op(
-          std::make_unique<exec::FilterOperator>(std::move(plan), MakePredicate(fn)),
-          obs::names::kOpFilter);
+      add_step(Op::kFilter).predicate = MakePredicate(std::move(fn));
     }
     if (!order_exprs.empty()) {
-      std::vector<exec::ValueFn> sort_keys;
-      std::vector<bool> ascending;
+      SelectPlan::Step& sort = add_step(Op::kSort);
       for (size_t i = 0; i < order_exprs.size(); ++i) {
         DTL_ASSIGN_OR_RETURN(
             exec::ValueFn fn,
             BindPostAggregate(*order_exprs[i], group_ptrs, agg_ptrs, scope));
-        sort_keys.push_back(std::move(fn));
-        ascending.push_back(stmt.order_by[i].ascending);
+        sort.fns.push_back(std::move(fn));
+        sort.ascending.push_back(stmt.order_by[i].ascending);
       }
-      plan = traced_op(std::make_unique<exec::SortOperator>(
-                           std::move(plan), std::move(sort_keys), std::move(ascending)),
-                       obs::names::kOpSort);
     }
+    SelectPlan::Step& project = add_step(Op::kProject);
     for (const Expr* e : select_exprs) {
       DTL_ASSIGN_OR_RETURN(exec::ValueFn fn,
                            BindPostAggregate(*e, group_ptrs, agg_ptrs, scope));
-      output_fns.push_back(std::move(fn));
-    }
-  } else {
-    if (!order_exprs.empty()) {
-      std::vector<exec::ValueFn> sort_keys;
-      std::vector<bool> ascending;
-      for (size_t i = 0; i < order_exprs.size(); ++i) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*order_exprs[i], scope));
-        sort_keys.push_back(std::move(bound.fn));
-        ascending.push_back(stmt.order_by[i].ascending);
-      }
-      plan = traced_op(std::make_unique<exec::SortOperator>(
-                           std::move(plan), std::move(sort_keys), std::move(ascending)),
-                       obs::names::kOpSort);
-    }
-    for (const Expr* e : select_exprs) {
-      DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
-      output_fns.push_back(std::move(bound.fn));
+      project.fns.push_back(std::move(fn));
     }
   }
-  plan = traced_op(
-      std::make_unique<exec::ProjectOperator>(std::move(plan), std::move(output_fns)),
-      obs::names::kOpProject);
-  if (stmt.limit.has_value()) {
-    plan = traced_op(std::make_unique<exec::LimitOperator>(std::move(plan), *stmt.limit),
-                     obs::names::kOpLimit);
+  if (stmt.limit.has_value()) add_step(Op::kLimit);
+  return plan;
+}
+
+Result<std::vector<Row>> Engine::RunSelect(SelectPlan& plan, obs::TraceNode* trace_parent) {
+  const SelectStmt& stmt = *plan.stmt;
+  // One trace node per step, in step order: EXPLAIN ANALYZE shows exactly
+  // the operators EXPLAIN prints. Untraced runs allocate none.
+  std::vector<obs::TraceNode*> traced;
+  if (trace_parent != nullptr) {
+    for (const SelectPlan::Step& step : plan.steps) {
+      traced.push_back(exec_.tracer->AddNode(
+          OpName(step.op),
+          step.slot == SelectPlan::kNoSlot ? std::string() : plan.slots[step.slot].qualifier,
+          trace_parent));
+    }
+  }
+  auto node = [&traced](size_t step) { return traced.empty() ? nullptr : traced[step]; };
+
+  // The single-operator routes compute the SELECT list from the first step.
+  auto output = [&plan](const Row& in) {
+    Row out;
+    out.reserve(plan.steps[0].fns.size());
+    for (const auto& fn : plan.steps[0].fns) out.push_back(fn(in));
+    return out;
+  };
+  switch (plan.route) {
+    case SelectRoute::kParallelAggregate: {
+      SelectPlan::Slot& slot = plan.slots[0];
+      exec::ParallelScanner scanner(static_cast<dual::DualTable*>(slot.storage.get()),
+                                    std::move(slot.spec),
+                                    {.pool = exec_.pool,
+                                     .parallelism = exec_.parallelism,
+                                     .morsel_stripes = exec_.morsel_stripes,
+                                     .metrics = exec_.metrics,
+                                     .snapshot = slot.snapshot});
+      DTL_ASSIGN_OR_RETURN(Row agg_row, scanner.Aggregate(plan.steps[0].aggs));
+      std::vector<Row> rows;
+      if (!stmt.limit.has_value() || *stmt.limit > 0) rows.push_back(output(agg_row));
+      return rows;
+    }
+    case SelectRoute::kIndexLookup: {
+      // Candidate record ids -> targeted stripe fetches through the shared
+      // cache -> delta patch -> probe re-verify -> pushed predicate.
+      SelectPlan::Slot& slot = plan.slots[0];
+      auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
+      Stopwatch lookup_watch;
+      DTL_ASSIGN_OR_RETURN(auto matches, dual->IndexLookupAt(slot.snapshot, plan.probe_column,
+                                                             plan.probes, slot.spec));
+      if (obs::TraceNode* lookup = node(0)) {
+        lookup->stats.wall_seconds += lookup_watch.ElapsedSeconds();
+        lookup->stats.rows += matches.size();
+      }
+      std::vector<Row> rows;
+      for (const auto& match : matches) {
+        if (stmt.limit.has_value() && rows.size() >= *stmt.limit) break;
+        rows.push_back(output(match.second));
+      }
+      return rows;
+    }
+    case SelectRoute::kBatch: {
+      // Batch-at-a-time: storage batches (predicate applied inside the scan)
+      // -> vectorized projection -> vectorized limit. Rows materialize only
+      // at the result boundary.
+      std::unique_ptr<exec::BatchOperator> op;
+      for (size_t i = 0; i < plan.steps.size(); ++i) {
+        SelectPlan::Step& step = plan.steps[i];
+        if (step.op == Op::kScan) {
+          const SelectPlan::Slot& slot = plan.slots[step.slot];
+          if (slot.snapshot != nullptr) {
+            auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
+            DTL_ASSIGN_OR_RETURN(op, dual->ScanBatchesAt(slot.snapshot, slot.spec));
+          } else {
+            DTL_ASSIGN_OR_RETURN(op, slot.storage->ScanBatches(slot.spec));
+          }
+        } else if (step.op == Op::kProject) {
+          op = std::make_unique<exec::BatchProjectOperator>(
+              std::move(op), std::move(step.fns), std::move(step.column_refs));
+        } else {
+          op = std::make_unique<exec::BatchLimitOperator>(std::move(op), *stmt.limit);
+        }
+        if (node(i) != nullptr) {
+          op = std::make_unique<TracedBatchOperator>(std::move(op), node(i));
+        }
+      }
+      return exec::CollectBatches(op.get());
+    }
+    case SelectRoute::kRow:
+      break;
   }
 
-  QueryResult result;
-  result.column_names = std::move(column_names);
-  if (traced) tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-  {
-    obs::Span exec_span(tracer, exec_node);
-    DTL_ASSIGN_OR_RETURN(result.rows, exec::Collect(plan.get()));
+  // Row route: the steps are a postfix program over an operator stack.
+  std::vector<std::unique_ptr<exec::Operator>> stack;
+  auto pop = [&stack]() {
+    std::unique_ptr<exec::Operator> top = std::move(stack.back());
+    stack.pop_back();
+    return top;
+  };
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    SelectPlan::Step& step = plan.steps[i];
+    std::unique_ptr<exec::Operator> op;
+    switch (step.op) {
+      case Op::kScan: {
+        SelectPlan::Slot& slot = plan.slots[step.slot];
+        if (slot.derived != nullptr) {
+          // The child plan runs here, inside the parent's execute stage.
+          DTL_ASSIGN_OR_RETURN(std::vector<Row> rows, RunSelect(*slot.derived, node(i)));
+          op = std::make_unique<exec::RowsOperator>(std::move(rows));
+          if (slot.spec.predicate) {
+            op = std::make_unique<exec::FilterOperator>(std::move(op), slot.spec.predicate);
+          }
+          break;
+        }
+        std::unique_ptr<table::RowIterator> it;
+        if (slot.snapshot != nullptr) {
+          auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
+          DTL_ASSIGN_OR_RETURN(it, dual->ScanAt(slot.snapshot, slot.spec));
+        } else {
+          DTL_ASSIGN_OR_RETURN(it, slot.storage->Scan(slot.spec));
+        }
+        op = std::make_unique<exec::ScanOperator>(std::move(it));
+        break;
+      }
+      case Op::kJoin: {
+        std::unique_ptr<exec::Operator> build = pop();
+        std::unique_ptr<exec::Operator> probe = pop();
+        op = std::make_unique<exec::HashJoinOperator>(
+            std::move(probe), std::move(build), std::move(step.fns),
+            std::move(step.build_keys), plan.slots[step.slot].width,
+            stmt.joins[step.slot - 1].left_outer ? exec::HashJoinOperator::Kind::kLeftOuter
+                                                 : exec::HashJoinOperator::Kind::kInner);
+        break;
+      }
+      case Op::kFilter:
+        op = std::make_unique<exec::FilterOperator>(pop(), std::move(step.predicate));
+        break;
+      case Op::kAggregate:
+        op = std::make_unique<exec::HashAggregateOperator>(pop(), std::move(step.fns),
+                                                           std::move(step.aggs));
+        break;
+      case Op::kSort:
+        op = std::make_unique<exec::SortOperator>(pop(), std::move(step.fns),
+                                                  std::move(step.ascending));
+        break;
+      case Op::kProject:
+        op = std::make_unique<exec::ProjectOperator>(pop(), std::move(step.fns));
+        break;
+      case Op::kLimit:
+        op = std::make_unique<exec::LimitOperator>(pop(), *stmt.limit);
+        break;
+      case Op::kParallelScan:
+      case Op::kIndexLookup:
+        return Status::Internal("single-operator route step in a row plan");
+    }
+    if (node(i) != nullptr) op = std::make_unique<TracedOperator>(std::move(op), node(i));
+    stack.push_back(std::move(op));
   }
-  return result;
+  return exec::Collect(stack.back().get());
 }
 
 Result<QueryResult> Engine::ExecuteCreate(const CreateTableStmt& stmt) {
@@ -1046,48 +1073,56 @@ Result<QueryResult> Engine::ExecuteDrop(const DropTableStmt& stmt) {
   return result;
 }
 
+namespace {
+
+/// Evaluates one VALUES tuple of constant expressions.
+Result<Row> EvaluateTuple(const std::vector<ExprPtr>& tuple) {
+  const Scope empty_scope;
+  const Row no_input;
+  Row row;
+  row.reserve(tuple.size());
+  for (const ExprPtr& e : tuple) {
+    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, empty_scope));
+    row.push_back(bound.fn(no_input));
+  }
+  return row;
+}
+
+/// Checks a row's arity against `schema` and coerces each value to its
+/// column's type; `statement` names the statement in the arity error.
+Result<Row> CoerceRow(const Row& in, const Schema& schema, const std::string& statement) {
+  if (in.size() != schema.num_fields()) {
+    return Status::InvalidArgument(statement + " arity mismatch: expected " +
+                                   std::to_string(schema.num_fields()) + " values");
+  }
+  Row row;
+  row.reserve(in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    DTL_ASSIGN_OR_RETURN(Value v,
+                         CoerceValue(in[i], schema.field(i).type, schema.field(i).name));
+    row.push_back(std::move(v));
+  }
+  return row;
+}
+
+}  // namespace
+
 Result<QueryResult> Engine::ExecuteInsert(const InsertStmt& stmt) {
   DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
   const Schema& schema = entry.table->schema();
   std::vector<Row> rows;
-
   if (stmt.select != nullptr) {
     // INSERT [OVERWRITE] ... SELECT: the paper's Listing-2 idiom.
     DTL_ASSIGN_OR_RETURN(QueryResult sub, ExecuteSelect(*stmt.select));
-    rows.reserve(sub.rows.size());
-    for (Row& in : sub.rows) {
-      if (in.size() != schema.num_fields()) {
-        return Status::InvalidArgument("INSERT SELECT arity mismatch: expected " +
-                                       std::to_string(schema.num_fields()) + " columns");
-      }
-      Row row;
-      row.reserve(in.size());
-      for (size_t i = 0; i < in.size(); ++i) {
-        DTL_ASSIGN_OR_RETURN(
-            Value v, CoerceValue(in[i], schema.field(i).type, schema.field(i).name));
-        row.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
-    }
+    rows = std::move(sub.rows);
   } else {
-    Scope empty_scope;
-    Row dummy;
-    rows.reserve(stmt.rows.size());
     for (const auto& tuple : stmt.rows) {
-      if (tuple.size() != schema.num_fields()) {
-        return Status::InvalidArgument("INSERT arity mismatch: expected " +
-                                       std::to_string(schema.num_fields()) + " values");
-      }
-      Row row;
-      row.reserve(tuple.size());
-      for (size_t i = 0; i < tuple.size(); ++i) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*tuple[i], empty_scope));
-        DTL_ASSIGN_OR_RETURN(Value v, CoerceValue(bound.fn(dummy), schema.field(i).type,
-                                                  schema.field(i).name));
-        row.push_back(std::move(v));
-      }
+      DTL_ASSIGN_OR_RETURN(Row row, EvaluateTuple(tuple));
       rows.push_back(std::move(row));
     }
+  }
+  for (Row& row : rows) {
+    DTL_ASSIGN_OR_RETURN(row, CoerceRow(row, schema, "INSERT"));
   }
 
   if (stmt.overwrite) {
@@ -1102,22 +1137,56 @@ Result<QueryResult> Engine::ExecuteInsert(const InsertStmt& stmt) {
   return result;
 }
 
+namespace {
+
+/// The filter scan of UPDATE and DELETE: the WHERE bound against the target
+/// table, with its stats bounds.
+Result<table::ScanSpec> BindDmlFilter(const Expr* where, const Scope& scope,
+                                      table::ScanMeter* meter) {
+  table::ScanSpec filter;
+  filter.meter = meter;
+  if (where != nullptr) {
+    std::vector<const Expr*> conjuncts;
+    SplitConjuncts(*where, &conjuncts);
+    DTL_RETURN_NOT_OK(BindScanFilter(conjuncts, scope, &filter));
+  }
+  return filter;
+}
+
+/// The statement result of an UPDATE or DELETE: affected rows and the plan
+/// the storage executed.
+Result<QueryResult> DmlOutcome(const char* verb, const Result<table::DmlResult>& dml) {
+  DTL_RETURN_NOT_OK(dml.status());
+  QueryResult result;
+  result.affected_rows = dml->rows_matched;
+  result.dml_plan = table::DmlPlanName(dml->plan);
+  result.message = std::string(verb) + " " + std::to_string(dml->rows_matched) +
+                   " rows via " + result.dml_plan + " plan";
+  return result;
+}
+
+/// Which storage kinds support the requested COMPACT; EXPLAIN COMPACT
+/// returns the same status.
+Status CheckCompactSupported(const CompactStmt& stmt, table::TableKind kind) {
+  if (stmt.incremental && kind != table::TableKind::kDual) {
+    return Status::NotSupported("COMPACT INCREMENTAL supports dualtable tables only");
+  }
+  if (kind != table::TableKind::kDual && kind != table::TableKind::kAcid) {
+    return Status::NotSupported("COMPACT supports dualtable and acid tables only");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
   DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
   const Schema& schema = entry.table->schema();
   Scope scope;
   scope.AddTable(stmt.alias.empty() ? stmt.table : stmt.alias, schema);
 
-  table::ScanSpec filter;
-  filter.meter = exec_.scan_meter;
-  if (stmt.where) {
-    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*stmt.where, scope));
-    filter.predicate = MakePredicate(bound.fn);
-    filter.predicate_columns = bound.columns;
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(*stmt.where, &conjuncts);
-    filter.bounds = ExtractBounds(conjuncts, scope);
-  }
+  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
+                       BindDmlFilter(stmt.where.get(), scope, exec_.scan_meter));
 
   std::vector<table::Assignment> assignments;
   for (const auto& [column, expr] : stmt.assignments) {
@@ -1139,20 +1208,10 @@ Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
     assignments.push_back(std::move(a));
   }
 
-  Result<table::DmlResult> dml = Status::Internal("unset");
-  if (entry.kind == table::TableKind::kDual) {
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    dml = dual->UpdateWithHint(filter, assignments, stmt.ratio_hint);
-  } else {
-    dml = entry.table->Update(filter, assignments);
-  }
-  DTL_RETURN_NOT_OK(dml.status());
-  QueryResult result;
-  result.affected_rows = dml->rows_matched;
-  result.dml_plan = table::DmlPlanName(dml->plan);
-  result.message = "updated " + std::to_string(dml->rows_matched) + " rows via " +
-                   result.dml_plan + " plan";
-  return result;
+  auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
+  return DmlOutcome("updated", dual != nullptr
+                                   ? dual->UpdateWithHint(filter, assignments, stmt.ratio_hint)
+                                   : entry.table->Update(filter, assignments));
 }
 
 Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
@@ -1160,40 +1219,19 @@ Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
   Scope scope;
   scope.AddTable(stmt.table, entry.table->schema());
 
-  table::ScanSpec filter;
-  filter.meter = exec_.scan_meter;
-  if (stmt.where) {
-    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*stmt.where, scope));
-    filter.predicate = MakePredicate(bound.fn);
-    filter.predicate_columns = bound.columns;
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(*stmt.where, &conjuncts);
-    filter.bounds = ExtractBounds(conjuncts, scope);
-  }
+  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
+                       BindDmlFilter(stmt.where.get(), scope, exec_.scan_meter));
 
-  Result<table::DmlResult> dml = Status::Internal("unset");
-  if (entry.kind == table::TableKind::kDual) {
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    dml = dual->DeleteWithHint(filter, stmt.ratio_hint);
-  } else {
-    dml = entry.table->Delete(filter);
-  }
-  DTL_RETURN_NOT_OK(dml.status());
-  QueryResult result;
-  result.affected_rows = dml->rows_matched;
-  result.dml_plan = table::DmlPlanName(dml->plan);
-  result.message = "deleted " + std::to_string(dml->rows_matched) + " rows via " +
-                   result.dml_plan + " plan";
-  return result;
+  auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
+  return DmlOutcome("deleted", dual != nullptr ? dual->DeleteWithHint(filter, stmt.ratio_hint)
+                                               : entry.table->Delete(filter));
 }
 
 Result<QueryResult> Engine::ExecuteCompact(const CompactStmt& stmt) {
   DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
+  DTL_RETURN_NOT_OK(CheckCompactSupported(stmt, entry.kind));
   QueryResult result;
   if (stmt.incremental) {
-    if (entry.kind != table::TableKind::kDual) {
-      return Status::NotSupported("COMPACT INCREMENTAL supports dualtable tables only");
-    }
     auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
     DTL_ASSIGN_OR_RETURN(auto stats, dual->CompactIncremental(exec_.tracer));
     result.message = "incremental compact of " + stmt.table + ": " + stats.ToString();
@@ -1202,11 +1240,9 @@ Result<QueryResult> Engine::ExecuteCompact(const CompactStmt& stmt) {
   if (entry.kind == table::TableKind::kDual) {
     auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
     DTL_RETURN_NOT_OK(dual->Compact());
-  } else if (entry.kind == table::TableKind::kAcid) {
+  } else {
     auto* acid = dynamic_cast<baseline::AcidTable*>(entry.table.get());
     DTL_RETURN_NOT_OK(acid->MajorCompact());
-  } else {
-    return Status::NotSupported("COMPACT supports dualtable and acid tables only");
   }
   result.message = "compacted table " + stmt.table;
   return result;
@@ -1221,6 +1257,14 @@ struct RowKeyHash {
     return h;
   }
 };
+/// The MERGE key of a row: its values at the key ordinals.
+Row KeyOf(const Row& row, const std::vector<size_t>& ordinals) {
+  Row key;
+  key.reserve(ordinals.size());
+  for (size_t ord : ordinals) key.push_back(row[ord]);
+  return key;
+}
+
 struct RowKeyEq {
   bool operator()(const Row& a, const Row& b) const {
     if (a.size() != b.size()) return false;
@@ -1246,25 +1290,11 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
   }
 
   // Evaluate source tuples and index them by key.
-  Scope empty_scope;
-  Row dummy;
   auto source = std::make_shared<std::unordered_map<Row, Row, RowKeyHash, RowKeyEq>>();
   for (const auto& tuple : stmt.rows) {
-    if (tuple.size() != schema.num_fields()) {
-      return Status::InvalidArgument("MERGE tuple arity mismatch: expected " +
-                                     std::to_string(schema.num_fields()) + " values");
-    }
-    Row row;
-    row.reserve(tuple.size());
-    for (size_t i = 0; i < tuple.size(); ++i) {
-      DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*tuple[i], empty_scope));
-      DTL_ASSIGN_OR_RETURN(Value v, CoerceValue(bound.fn(dummy), schema.field(i).type,
-                                                schema.field(i).name));
-      row.push_back(std::move(v));
-    }
-    Row key;
-    for (size_t ord : key_ordinals) key.push_back(row[ord]);
-    (*source)[std::move(key)] = std::move(row);
+    DTL_ASSIGN_OR_RETURN(Row values, EvaluateTuple(tuple));
+    DTL_ASSIGN_OR_RETURN(Row row, CoerceRow(values, schema, "MERGE tuple"));
+    (*source)[KeyOf(row, key_ordinals)] = std::move(row);
   }
 
   // Pass 1: which source keys already exist in the table?
@@ -1276,17 +1306,10 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
     probe.predicate_columns = key_ordinals;
     auto key_ords = key_ordinals;
     probe.predicate = [source, key_ords](const Row& row) {
-      Row key;
-      key.reserve(key_ords.size());
-      for (size_t ord : key_ords) key.push_back(row[ord]);
-      return source->count(key) > 0;
+      return source->count(KeyOf(row, key_ords)) > 0;
     };
     DTL_ASSIGN_OR_RETURN(auto it, entry.table->Scan(probe));
-    while (it->Next()) {
-      Row key;
-      for (size_t ord : key_ordinals) key.push_back(it->row()[ord]);
-      (*matched)[std::move(key)] = Row{};
-    }
+    while (it->Next()) (*matched)[KeyOf(it->row(), key_ordinals)] = Row{};
     DTL_RETURN_NOT_OK(it->status());
   }
 
@@ -1298,10 +1321,7 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
     filter.predicate_columns = key_ordinals;
     auto key_ords = key_ordinals;
     filter.predicate = [matched, key_ords](const Row& row) {
-      Row key;
-      key.reserve(key_ords.size());
-      for (size_t ord : key_ords) key.push_back(row[ord]);
-      return matched->count(key) > 0;
+      return matched->count(KeyOf(row, key_ords)) > 0;
     };
     std::vector<table::Assignment> assignments;
     for (size_t c = 0; c < schema.num_fields(); ++c) {
@@ -1312,24 +1332,18 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
       a.column = c;
       a.input_columns = key_ordinals;
       a.compute = [source, key_ords, c](const Row& row) {
-        Row key;
-        key.reserve(key_ords.size());
-        for (size_t ord : key_ords) key.push_back(row[ord]);
-        auto it = source->find(key);
+        auto it = source->find(KeyOf(row, key_ords));
         return it == source->end() ? Value::Null() : it->second[c];
       };
       assignments.push_back(std::move(a));
     }
-    Result<table::DmlResult> dml = Status::Internal("unset");
-    if (entry.kind == table::TableKind::kDual) {
-      auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      dml = dual->UpdateWithHint(filter, assignments, stmt.ratio_hint);
-    } else {
-      dml = entry.table->Update(filter, assignments);
-    }
-    DTL_RETURN_NOT_OK(dml.status());
-    result.affected_rows += dml->rows_matched;
-    result.dml_plan = table::DmlPlanName(dml->plan);
+    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
+    DTL_ASSIGN_OR_RETURN(table::DmlResult dml,
+                         dual != nullptr
+                             ? dual->UpdateWithHint(filter, assignments, stmt.ratio_hint)
+                             : entry.table->Update(filter, assignments));
+    result.affected_rows += dml.rows_matched;
+    result.dml_plan = table::DmlPlanName(dml.plan);
   }
 
   // Pass 3: insert the source tuples whose keys did not match.
@@ -1371,16 +1385,20 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
   auto emit = [&result](const std::string& line) {
     result.rows.push_back(Row{Value::String(line)});
   };
-  // The plan decision execution takes (DualTable::DecideDmlPlan), so EXPLAIN
-  // names the plan the statement would run.
-  auto emit_dml_plan = [&emit](const dual::DualTable& dual, dual::DmlKind kind,
+  // EXPLAIN names the plan execution takes: a baseline's fixed plan, or the
+  // DualTable decision (DualTable::DecideDmlPlan).
+  auto emit_dml_plan = [&emit](const table::StorageTable& storage, dual::DmlKind kind,
                                std::optional<double> ratio_hint) {
-    const dual::DmlPlanChoice choice = dual.DecideDmlPlan(kind, ratio_hint);
-    if (!choice.cost_model) {
-      emit(std::string("  plan: ") + table::DmlPlanName(choice.plan) +
-           " (forced by plan mode)");
+    if (const std::optional<table::DmlPlan> fixed = storage.fixed_dml_plan()) {
+      emit(std::string("  plan: ") + table::DmlPlanName(*fixed) + " (" +
+           table::DmlPlanDescription(*fixed) + ")");
       return;
     }
+    const dual::DmlPlanChoice choice =
+        static_cast<const dual::DualTable&>(storage).DecideDmlPlan(kind, ratio_hint);
+    emit(std::string("  plan: ") + table::DmlPlanName(choice.plan) +
+         (choice.cost_model ? " (cost model)" : " (forced by plan mode)"));
+    if (!choice.cost_model) return;
     emit("  ratio: " + std::to_string(choice.ratio) + " (" +
          dual::RatioSourceName(choice.ratio_source) + ")");
     emit("  cost model: " + choice.decision.ToString());
@@ -1390,14 +1408,11 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(update->table));
     emit("UPDATE " + update->table + " (" + table::TableKindName(entry.kind) + ")");
     if (update->where) emit("  where: " + update->where->ToString());
-    if (entry.kind == table::TableKind::kDual) {
-      auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      emit_dml_plan(*dual, dual::DmlKind::kUpdate, update->ratio_hint);
+    emit_dml_plan(*entry.table, dual::DmlKind::kUpdate, update->ratio_hint);
+    if (auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get())) {
       emit("  crossover ratio: " +
            std::to_string(dual->cost_model().UpdateCrossoverRatio(
                dual->master()->TotalBytes())));
-    } else {
-      emit("  plan: full INSERT OVERWRITE rewrite");
     }
     return result;
   }
@@ -1405,62 +1420,18 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(del->table));
     emit("DELETE FROM " + del->table + " (" + table::TableKindName(entry.kind) + ")");
     if (del->where) emit("  where: " + del->where->ToString());
-    if (entry.kind == table::TableKind::kDual) {
-      auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      emit_dml_plan(*dual, dual::DmlKind::kDelete, del->ratio_hint);
-    } else {
-      emit("  plan: full INSERT OVERWRITE rewrite");
-    }
+    emit_dml_plan(*entry.table, dual::DmlKind::kDelete, del->ratio_hint);
     return result;
   }
   if (const auto* select = std::get_if<SelectStmt>(stmt.inner.get())) {
-    auto describe_ref = [&](const TableRef& ref) -> Result<std::string> {
-      if (ref.subquery != nullptr) return "(subquery) " + ref.EffectiveName();
-      DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(ref.table));
-      return ref.table + " (" + table::TableKindName(entry.kind) +
-             (entry.kind == table::TableKind::kDual ? ", UNION READ scan)" : ")");
-    };
-    DTL_ASSIGN_OR_RETURN(std::string from, describe_ref(select->from));
-    emit("SELECT: scan " + from);
-    for (const JoinClause& join : select->joins) {
-      DTL_ASSIGN_OR_RETURN(std::string right, describe_ref(join.table));
-      emit(std::string("  ") + (join.left_outer ? "left outer " : "") + "hash join " +
-           right + " on " + join.on->ToString());
-    }
-    if (select->where) {
-      std::vector<const Expr*> conjuncts;
-      SplitConjuncts(*select->where, &conjuncts);
-      emit("  filter: " + std::to_string(conjuncts.size()) +
-           " conjunct(s), single-table terms pushed into scans");
-      // Surface the index point-lookup route when the single-table plan
-      // would take it (same detection the executor runs).
-      if (select->joins.empty() && select->from.subquery == nullptr) {
-        auto entry = catalog_->Lookup(select->from.table);
-        if (entry.ok() && entry->kind == table::TableKind::kDual) {
-          auto* dual = dynamic_cast<dual::DualTable*>(entry->table.get());
-          if (dual != nullptr && dual->secondary_index() != nullptr) {
-            Scope probe_scope;
-            probe_scope.AddTable(select->from.EffectiveName(), entry->table->schema());
-            size_t col = 0;
-            std::vector<Value> probes;
-            if (FindIndexProbe(conjuncts, probe_scope, entry->table->schema(),
-                               *dual->secondary_index(), &col, &probes)) {
-              emit("  index lookup: column '" +
-                   entry->table->schema().field(col).name + "', " +
-                   std::to_string(probes.size()) + " probe(s)");
-            }
-          }
-        }
-      }
-    }
-    if (!select->group_by.empty() || select->having) emit("  hash aggregate");
-    if (!select->order_by.empty()) emit("  sort");
-    if (select->limit) emit("  limit " + std::to_string(*select->limit));
+    DTL_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(*select));
+    RenderSelectPlan(plan, "", &result.rows);
     return result;
   }
   if (const auto* compact = std::get_if<CompactStmt>(stmt.inner.get())) {
     DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(compact->table));
-    if (compact->incremental && entry.kind == table::TableKind::kDual) {
+    DTL_RETURN_NOT_OK(CheckCompactSupported(*compact, entry.kind));
+    if (compact->incremental) {
       auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
       emit("COMPACT INCREMENTAL " + compact->table);
       DTL_ASSIGN_OR_RETURN(auto plan, dual->PreviewIncrementalCompaction());
@@ -1468,8 +1439,8 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
       for (std::string line; std::getline(lines, line);) emit("  " + line);
       return result;
     }
-    emit(std::string(compact->incremental ? "COMPACT INCREMENTAL " : "COMPACT ") +
-         compact->table + " (" + table::TableKindName(entry.kind) + "): full rewrite");
+    emit("COMPACT " + compact->table + " (" + table::TableKindName(entry.kind) +
+         "): full rewrite");
     return result;
   }
   emit("statement executes directly (no plan choices)");

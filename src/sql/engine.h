@@ -1,6 +1,7 @@
-// Statement execution: plans SELECTs into exec operator trees (with
-// predicate pushdown, stats-bound extraction, and hash joins/aggregates) and
-// routes DML to the storage tables — DualTable DML carries the WITH RATIO
+// Statement execution: plans each SELECT once into a SelectPlan (predicate
+// pushdown, stats-bound extraction, route choice, operator steps) that
+// execution, EXPLAIN and EXPLAIN ANALYZE share, and routes DML to the
+// storage tables — DualTable DML carries the WITH RATIO
 // hint into the cost model, mirroring the paper's DualTable parser that
 // "will choose to generate a Hive-compatible statement ... or our UDTFs,
 // based on the cost evaluator".
@@ -26,6 +27,8 @@ class QueryLog;
 }  // namespace dtl::obs
 
 namespace dtl::sql {
+
+struct SelectPlan;
 
 /// Execution knobs for parallel DualTable scans. Only order-insensitive
 /// plans (single-table global aggregates) run parallel; everything else
@@ -91,7 +94,16 @@ class Engine {
   /// The per-kind dispatch body. ExecuteStatement wraps it with query-log
   /// capture (wall clock, registry delta, modeled seconds).
   Result<QueryResult> DispatchStatement(const Statement& stmt);
+  /// PlanSelect + RunSelect, with the `bind` and `execute` trace stages.
   Result<QueryResult> ExecuteSelect(const SelectStmt& stmt);
+  /// Plans a SELECT without reading data: resolves tables and pins their
+  /// snapshots, binds expressions, builds each table's pushed-down scan,
+  /// chooses the route, and lists the operator steps. FROM subqueries become
+  /// child plans.
+  Result<SelectPlan> PlanSelect(const SelectStmt& stmt);
+  /// Executes a plan, consuming its bound steps. With a non-null
+  /// `trace_parent`, each step gets a trace node under it, in step order.
+  Result<std::vector<Row>> RunSelect(SelectPlan& plan, obs::TraceNode* trace_parent);
   Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt);
   Result<QueryResult> ExecuteDrop(const DropTableStmt& stmt);
   Result<QueryResult> ExecuteInsert(const InsertStmt& stmt);

@@ -66,6 +66,8 @@ enum class DmlPlan {
 };
 
 const char* DmlPlanName(DmlPlan plan);
+/// What the plan does to storage, for EXPLAIN.
+const char* DmlPlanDescription(DmlPlan plan);
 
 /// Outcome of an UPDATE or DELETE.
 struct DmlResult {

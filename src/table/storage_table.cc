@@ -61,6 +61,20 @@ const char* DmlPlanName(DmlPlan plan) {
   return "?";
 }
 
+const char* DmlPlanDescription(DmlPlan plan) {
+  switch (plan) {
+    case DmlPlan::kOverwrite:
+      return "full INSERT OVERWRITE rewrite";
+    case DmlPlan::kEdit:
+      return "modification records into the attached table";
+    case DmlPlan::kInPlace:
+      return "in-place puts of the changed cells";
+    case DmlPlan::kDelta:
+      return "one new ACID delta file";
+  }
+  return "?";
+}
+
 std::vector<size_t> ScanSpec::RequiredColumns(size_t num_fields) const {
   if (projection.empty()) {
     std::vector<size_t> all(num_fields);

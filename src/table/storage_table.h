@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,11 @@ class StorageTable {
 
   /// DELETE FROM <table> WHERE <predicate>.
   virtual Result<DmlResult> Delete(const ScanSpec& filter) = 0;
+
+  /// The plan every UPDATE and DELETE on this table executes with; nullopt
+  /// when the table chooses per statement (DualTable's cost model). EXPLAIN
+  /// names it.
+  virtual std::optional<DmlPlan> fixed_dml_plan() const { return std::nullopt; }
 
   /// Total number of live rows (post-merge view).
   virtual Result<uint64_t> CountRows();

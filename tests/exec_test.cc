@@ -196,16 +196,35 @@ TEST(OperatorSafetyTest, CollectSurfacesChildStatus) {
   EXPECT_TRUE(sort.row().empty());  // still safe to touch after the error
 }
 
+/// Batch source that filters like a storage scan with a pushed predicate:
+/// surviving rows stay in place behind a selection vector, and batches with
+/// no survivors are skipped.
+class SelectedBatchSource : public BatchOperator {
+ public:
+  SelectedBatchSource(std::vector<Row> rows, size_t batch_rows, PredFn pred)
+      : rows_(std::make_unique<VectorRowIterator>(std::move(rows)), 2, batch_rows),
+        pred_(std::move(pred)) {}
+  bool Next(table::RowBatch* batch) override {
+    while (rows_.Next(batch)) {
+      batch->FilterSelected(pred_, &scratch_);
+      if (!batch->empty()) return true;
+    }
+    return false;
+  }
+  const Status& status() const override { return rows_.status(); }
+
+ private:
+  table::RowToBatchAdapter rows_;
+  PredFn pred_;
+  Row scratch_;
+};
+
 TEST(BatchOperatorTest, FilterProjectLimitPipeline) {
-  // Row source -> batches -> vectorized filter/project/limit -> rows.
+  // Filtered batches -> vectorized project/limit -> rows.
   std::vector<Row> input;
   for (int i = 0; i < 20; ++i) input.push_back(R({i, i * 2}));
-  auto rows_op = std::make_unique<table::RowToBatchAdapter>(
-      std::make_unique<VectorRowIterator>(std::move(input)), 2, 6);
-  std::unique_ptr<BatchOperator> plan =
-      std::make_unique<BatchScanOperator>(std::move(rows_op));
-  plan = std::make_unique<BatchFilterOperator>(
-      std::move(plan), [](const Row& row) { return row[0].AsInt64() % 2 == 0; });
+  std::unique_ptr<BatchOperator> plan = std::make_unique<SelectedBatchSource>(
+      std::move(input), 6, [](const Row& row) { return row[0].AsInt64() % 2 == 0; });
   plan = std::make_unique<BatchProjectOperator>(
       std::move(plan),
       std::vector<ValueFn>{Col(1), [](const Row& row) {
@@ -225,11 +244,10 @@ TEST(BatchOperatorTest, FilterProjectLimitPipeline) {
 TEST(BatchOperatorTest, ZeroCopyProjectionForwardsSelection) {
   std::vector<Row> input;
   for (int i = 0; i < 8; ++i) input.push_back(R({i, i * 3}));
-  std::unique_ptr<BatchOperator> plan = std::make_unique<BatchScanOperator>(
-      std::make_unique<table::RowToBatchAdapter>(
-          std::make_unique<VectorRowIterator>(std::move(input)), 2, 8));
-  plan = std::make_unique<BatchFilterOperator>(
-      std::move(plan), [](const Row& row) { return row[0].AsInt64() >= 4; });
+  std::unique_ptr<BatchOperator> plan =
+      std::make_unique<SelectedBatchSource>(std::move(input), 8, [](const Row& row) {
+        return row[0].AsInt64() >= 4;
+      });
   // Pure column refs: projection must not copy cells.
   plan = std::make_unique<BatchProjectOperator>(std::move(plan),
                                                 std::vector<ValueFn>{Col(1), Col(0)},

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dualtable/dual_table.h"
 #include "sql/session.h"
 
@@ -288,6 +290,162 @@ TEST_F(EngineTest, ExplainHiveShowsRewritePlan) {
   std::string text;
   for (const Row& row : result.rows) text += row[0].AsString() + "\n";
   EXPECT_NE(text.find("INSERT OVERWRITE rewrite"), std::string::npos);
+}
+
+/// Operator names of an EXPLAIN SELECT's top-level steps (lines indented by
+/// exactly two spaces: `  <op>[(<table>)]: ...`).
+std::vector<std::string> ExplainedOps(const QueryResult& explain) {
+  std::vector<std::string> ops;
+  for (const Row& row : explain.rows) {
+    const std::string line = row[0].AsString();
+    if (line.size() < 3 || line.compare(0, 2, "  ") != 0 || line[2] == ' ') continue;
+    ops.push_back(line.substr(2, line.find_first_of("(:", 2) - 2));
+  }
+  return ops;
+}
+
+/// Operator names of the direct children of EXPLAIN ANALYZE's `execute`
+/// node (query > select > execute > operators, two spaces per level).
+std::vector<std::string> TracedOps(const QueryResult& analyze) {
+  std::vector<std::string> ops;
+  bool in_execute = false;
+  for (const Row& row : analyze.rows) {
+    const std::string line = row[0].AsString();
+    const size_t indent = line.find_first_not_of(' ');
+    if (indent == 4) in_execute = line.compare(4, 7, "execute") == 0;
+    if (!in_execute || indent != 6) continue;
+    ops.push_back(line.substr(6, line.find_first_of("( ", 6) - 6));
+  }
+  return ops;
+}
+
+std::vector<std::string> SortedRows(const QueryResult& result) {
+  std::vector<std::string> rows;
+  for (const Row& row : result.rows) rows.push_back(RowToString(row));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(PlanOracleTest, ExplainListsTheOperatorsExplainAnalyzeRuns) {
+  // `{t}` runs against an indexed DualTable, an unindexed copy and a Hive
+  // copy of the same rows. EXPLAIN must name exactly the operators EXPLAIN
+  // ANALYZE executes, in order, serially and with morsel workers; the rows
+  // must not depend on the index or the storage kind.
+  const std::vector<std::string> corpus = {
+      "SELECT id, v FROM {t} WHERE id = 7",
+      "SELECT id, tag FROM {t} WHERE v = 70",
+      "SELECT id, v FROM {t} WHERE id IN (3, 7, 11, 90)",
+      "SELECT id FROM {t} WHERE tag IN ('t1', 't2')",
+      "SELECT id AS k, v FROM {t} WHERE k = 9",
+      "SELECT COUNT(*), SUM(v) FROM {t}",
+      "SELECT COUNT(*) FROM {t} WHERE id = 2",
+      "SELECT v FROM {t} WHERE id = 2 ORDER BY v",
+      "SELECT tag, SUM(v) s FROM {t} GROUP BY tag HAVING COUNT(*) > 1 ORDER BY s DESC",
+      "SELECT id, v FROM {t} WHERE v > 100 LIMIT 3",
+      "SELECT a.id, b.name FROM {t} a JOIN names b ON a.id = b.id ORDER BY a.id",
+      "SELECT a.id, b.name FROM {t} a LEFT OUTER JOIN names b ON a.id = b.id "
+      "WHERE a.id < 12",
+      "SELECT s.k, s.v FROM (SELECT id AS k, v FROM {t} WHERE id < 20) s "
+      "WHERE s.v > 50 ORDER BY s.k",
+  };
+  for (const size_t parallelism : {size_t{1}, size_t{2}}) {
+    SessionOptions options;
+    options.parallelism = parallelism;
+    options.pool_threads = 2;
+    auto created = Session::Create(std::move(options));
+    ASSERT_TRUE(created.ok());
+    std::unique_ptr<Session> session = std::move(*created);
+    auto run = [&session](const std::string& sql) {
+      auto result = session->Execute(sql);
+      EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+      return result.ok() ? *result : QueryResult{};
+    };
+    run("CREATE TABLE ti (id BIGINT, tag STRING, v BIGINT) INDEX (id)");
+    run("CREATE TABLE tu (id BIGINT, tag STRING, v BIGINT)");
+    run("CREATE TABLE th (id BIGINT, tag STRING, v BIGINT) STORED AS hive");
+    run("CREATE TABLE names (id BIGINT, name STRING)");
+    std::string rows;
+    for (int i = 0; i < 60; ++i) {
+      rows += (i > 0 ? ", (" : "(") + std::to_string(i) + ", 't" + std::to_string(i % 4) +
+              "', " + std::to_string(i * 10) + ")";
+    }
+    for (const char* table : {"ti", "tu", "th"}) {
+      run(std::string("INSERT INTO ") + table + " VALUES " + rows);
+      run(std::string("UPDATE ") + table + " SET v = 999 WHERE id = 7");
+      run(std::string("DELETE FROM ") + table + " WHERE id = 11");
+    }
+    run("INSERT INTO names VALUES (1, 'one'), (2, 'two'), (7, 'seven'), (40, 'forty')");
+
+    for (const std::string& query : corpus) {
+      std::vector<std::string> reference;
+      for (const std::string table : {"tu", "ti", "th"}) {
+        std::string sql = query;
+        sql.replace(sql.find("{t}"), 3, table);
+        SCOPED_TRACE("parallelism " + std::to_string(parallelism) + ": " + sql);
+        const std::vector<std::string> explained = ExplainedOps(run("EXPLAIN " + sql));
+        EXPECT_FALSE(explained.empty());
+        EXPECT_EQ(explained, TracedOps(run("EXPLAIN ANALYZE " + sql)));
+        const std::vector<std::string> result = SortedRows(run(sql));
+        if (table == "tu") {
+          reference = result;
+        } else {
+          EXPECT_EQ(result, reference);
+        }
+      }
+    }
+    // The routes under test were really taken.
+    EXPECT_EQ(ExplainedOps(run("EXPLAIN SELECT id AS k, v FROM ti WHERE k = 9")),
+              std::vector<std::string>{"index-lookup"});
+    const std::vector<std::string> aggregate_ops =
+        ExplainedOps(run("EXPLAIN SELECT COUNT(*), SUM(v) FROM ti"));
+    ASSERT_FALSE(aggregate_ops.empty());
+    EXPECT_EQ(aggregate_ops[0], parallelism > 1 ? "parallel-scan" : "scan");
+
+    // EXPLAIN plans a FROM subquery without running it.
+    const uint64_t scanned = session->scan_meter()->Snapshot().rows;
+    run("EXPLAIN SELECT s.k FROM (SELECT id AS k FROM tu WHERE v > 10) s");
+    EXPECT_EQ(session->scan_meter()->Snapshot().rows, scanned);
+  }
+}
+
+TEST_F(EngineTest, ExplainCompactReturnsTheStatusCompactReturns) {
+  Run("CREATE TABLE h (id BIGINT) STORED AS hive");
+  Run("CREATE TABLE hb (id BIGINT) STORED AS hbase");
+  Run("CREATE TABLE a (id BIGINT) STORED AS acid");
+  Run("INSERT INTO a VALUES (1), (2)");
+  for (const std::string compact :
+       {"COMPACT TABLE h", "COMPACT TABLE h INCREMENTAL", "COMPACT TABLE hb",
+        "COMPACT TABLE hb INCREMENTAL", "COMPACT TABLE a INCREMENTAL"}) {
+    auto explained = session_->Execute("EXPLAIN " + compact);
+    auto executed = session_->Execute(compact);
+    ASSERT_FALSE(executed.ok()) << compact;
+    EXPECT_TRUE(executed.status().IsNotSupported()) << compact;
+    ASSERT_FALSE(explained.ok()) << compact;
+    EXPECT_EQ(explained.status().ToString(), executed.status().ToString()) << compact;
+  }
+  // ACID supports the full (major) compaction, and EXPLAIN says so.
+  auto plan = Run("EXPLAIN COMPACT TABLE a");
+  ASSERT_FALSE(plan.rows.empty());
+  EXPECT_NE(plan.rows[0][0].AsString().find("full rewrite"), std::string::npos);
+  Run("COMPACT TABLE a");
+}
+
+TEST_F(EngineTest, ExplainDmlNamesThePlanEachStorageKindExecutes) {
+  for (const std::string kind : {"dualtable", "hive", "hbase", "acid"}) {
+    const std::string table = "t_" + kind;
+    Run("CREATE TABLE " + table + " (id BIGINT, v BIGINT) STORED AS " + kind);
+    Run("INSERT INTO " + table + " VALUES (1, 10), (2, 20), (3, 30)");
+    for (const std::string dml :
+         {"UPDATE " + table + " SET v = 0 WHERE id = 1", "DELETE FROM " + table + " WHERE id = 2"}) {
+      std::string named;
+      for (const Row& row : Run("EXPLAIN " + dml).rows) {
+        const std::string line = row[0].AsString();
+        if (line.rfind("  plan: ", 0) == 0) named = line.substr(8, line.find(' ', 8) - 8);
+      }
+      EXPECT_FALSE(named.empty()) << dml;
+      EXPECT_EQ(named, Run(dml).dml_plan) << dml;
+    }
+  }
 }
 
 TEST_F(EngineTest, MergeUpdatesMatchesAndInsertsRest) {

@@ -103,9 +103,9 @@ TEST_F(ExplainAnalyzeTest, GoldenSelectTraceStructure) {
   //   query
   //     parse
   //     select
+  //       bind
   //       execute
   //         scan(t) / sort / project
-  //       bind
   EXPECT_EQ(FindLine(lines, 0, "query"), 0u);
   EXPECT_NE(FindLine(lines, 2, "parse"), std::string::npos);
   const size_t select_at = FindLine(lines, 2, "select");
@@ -113,7 +113,10 @@ TEST_F(ExplainAnalyzeTest, GoldenSelectTraceStructure) {
   const size_t execute_at = FindLine(lines, 4, "execute");
   ASSERT_NE(execute_at, std::string::npos);
   EXPECT_GT(execute_at, select_at);
-  EXPECT_NE(FindLine(lines, 4, "bind"), std::string::npos);
+  // Planning is recorded before execution, and scans open inside execute.
+  const size_t bind_at = FindLine(lines, 4, "bind");
+  ASSERT_NE(bind_at, std::string::npos);
+  EXPECT_LT(bind_at, execute_at);
   const size_t scan_at = FindLine(lines, 6, "scan(t)");
   const size_t sort_at = FindLine(lines, 6, "sort");
   const size_t project_at = FindLine(lines, 6, "project");
@@ -140,6 +143,7 @@ TEST_F(ExplainAnalyzeTest, VectorizedPathTracesBatchOperators) {
   ASSERT_NE(FindLine(lines, 6, "project"), std::string::npos);
   ASSERT_NE(limit_at, std::string::npos);
   EXPECT_EQ(RowsOf(lines[limit_at]), 2u);
+  EXPECT_LT(FindLine(lines, 4, "bind"), FindLine(lines, 4, "execute"));
   // Batch counts flow through the vectorized decorators.
   const size_t at = lines[scan_at].find(" batches=");
   ASSERT_NE(at, std::string::npos);
