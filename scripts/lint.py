@@ -50,6 +50,14 @@ Enforced invariants (see DESIGN.md §7):
                       the planner whose plan execution, EXPLAIN and EXPLAIN
                       ANALYZE all read, so no second caller can re-derive
                       (and drift from) the index-route decision.
+ 10. batch-currency   In src/sql and src/exec, RowBatch is the only operator
+                      currency: nothing names table::RowIterator or the
+                      BatchToRowAdapter / RowToBatchAdapter bridges, and
+                      nothing calls a row scan (->Scan( / .Scan( / ScanAt().
+                      Operators pull batches and rows materialize once, at
+                      the QueryResult boundary (exec::CollectBatches);
+                      ParallelScanner::CollectRows builds its rows from
+                      batches and stays allowed.
 
 Usage:  scripts/lint.py [paths...]      (defaults to src/ tests/ bench/ examples/)
 Exit status: 0 clean, 1 findings (one line each: path:line: [rule] message).
@@ -137,6 +145,12 @@ ONE_PLANNER_DIR = "src/sql/"
 INDEX_PROBE_CALL_RE = re.compile(r"\bFindIndexProbe\s*\(")
 PLANNER_FUNCTION = "PlanSelect"
 FUNCTION_NAME_RE = re.compile(r"([A-Za-z_][\w:]*)\s*\(")
+
+# Rule 10: the row-at-a-time read surfaces the executor no longer touches.
+BATCH_CURRENCY_DIRS = ("src/sql/", "src/exec/")
+ROW_READ_RE = re.compile(
+    r"\b(?:table::)?RowIterator\b|\bBatchToRowAdapter\b|\bRowToBatchAdapter\b|"
+    r"(?:->|\.)\s*Scan\s*\(|\bScanAt\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -454,6 +468,16 @@ def check_file(path: Path, findings):
                 findings.append((rp, text[:m.start()].count("\n") + 1, "one-planner",
                                  f"FindIndexProbe called from {owner}; only "
                                  f"{PLANNER_FUNCTION} chooses the SELECT route"))
+
+    # Rule 10: batches are the only operator currency in the executor.
+    if rp.startswith(BATCH_CURRENCY_DIRS):
+        for i, line in enumerate(lines, 1):
+            m = ROW_READ_RE.search(line)
+            if m:
+                findings.append((rp, i, "batch-currency",
+                                 f"'{m.group(0).strip()}' reads rows in the executor; "
+                                 "pull RowBatches (ScanBatches / ScanBatchesAt) and "
+                                 "materialize at CollectBatches"))
 
     # Rule 5: no (void)-discarded calls; DTL_IGNORE_STATUS is the audit trail.
     if rp != "src/common/status.h":  # the macro's own definition

@@ -273,14 +273,14 @@ Result<std::vector<ScanMorsel>> DualTable::PlanScanMorselsAt(
 
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForMorselAt(
     const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
-    table::ScanMeter* meter) {
+    table::ScanMeter* meter, StripeReads reads) {
   table::ScanSpec master_spec = MasterSpecFor(spec, snapshot);
   master_spec.meter = meter;
   DTL_ASSIGN_OR_RETURN(
       auto master_it,
       master_->NewMorselBatchScanIterator(snapshot->generation, morsel, master_spec,
                                           /*apply_predicate=*/false,
-                                          options_.scan_batch_rows));
+                                          options_.scan_batch_rows, reads));
   auto attached_it = attached_->NewScannerAt(snapshot->attached,
                                              morsel.first_record_id,
                                              morsel.end_record_id);
@@ -856,12 +856,19 @@ Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
                                          IncrementalCompactStats* stats) {
   DTL_ASSIGN_OR_RETURN(auto reader,
                        master_->OpenReader(snapshot->generation, file.file_id));
-  auto mods = attached_->NewScannerAt(snapshot->attached, MakeRecordId(file.file_id, 0),
-                                      MakeRecordId(file.file_id + 1, 0));
-  bool mod_valid = mods->Next();
   // Lazy writer: a file whose every surviving row is deleted produces no
   // replacement file at all.
   std::unique_ptr<MasterFileWriter> writer;
+  auto ensure_writer = [&]() -> Status {
+    if (writer == nullptr) {
+      DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
+    }
+    return Status::OK();
+  };
+  // A statement-internal scan: its rows and bytes meter nowhere else.
+  table::ScanMeter statement_meter;
+  table::RowBatch batch;
+  Row row;
   for (size_t s = 0; s < reader->num_stripes(); ++s) {
     const orc::StripeInfo& info = reader->stripe(s);
     const bool dirty = s < file.stripes.size() && file.stripes[s].delta_rows > 0;
@@ -869,54 +876,43 @@ Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
       // Clean stripe: carry the encoded bytes (and their CRCs/stats) across
       // verbatim — no decode, no re-encode.
       DTL_ASSIGN_OR_RETURN(std::string raw, reader->ReadRawStripe(s));
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-      }
+      DTL_RETURN_NOT_OK(ensure_writer());
       DTL_RETURN_NOT_OK(writer->AppendRawStripe(info, raw));
       ++stats->stripes_copied;
       continue;
     }
-    // Dirty stripe: decode, patch updates, mask deletes, re-encode.
-    DTL_ASSIGN_OR_RETURN(orc::StripeBatch batch, reader->ReadStripe(s));
-    ++stats->stripes_rewritten;
-    stats->rows_rewritten += batch.num_rows;
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      const uint64_t rid = MakeRecordId(file.file_id, batch.first_row + i);
-      while (mod_valid && mods->modification().record_id < rid) {
-        // Mod for a row this walk already passed (cannot normally happen);
-        // its cells die with the file either way.
-        folded->push_back(mods->modification().record_id);
-        ++stats->mods_folded;
-        mod_valid = mods->Next();
+    // Dirty stripe: the batch UNION READ over this one stripe patches the
+    // updates and masks the deletes; the visible rows are re-encoded.
+    const ScanMorsel morsel{
+        .file_id = file.file_id,
+        .stripe_begin = s,
+        .stripe_end = s + 1,
+        .first_record_id = MakeRecordId(file.file_id, info.first_row),
+        .end_record_id = MakeRecordId(file.file_id, info.first_row + info.num_rows),
+        .num_rows = info.num_rows};
+    DTL_ASSIGN_OR_RETURN(auto it,
+                         NewUnionReadBatchForMorselAt(snapshot, morsel, table::ScanSpec{},
+                                                      &statement_meter,
+                                                      StripeReads::kUncached));
+    while (it->Next(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        batch.MaterializeRow(i, &row);
+        DTL_RETURN_NOT_OK(ensure_writer());
+        DTL_RETURN_NOT_OK(writer->Append(row));
       }
-      bool deleted = false;
-      Row row;
-      if (mod_valid && mods->modification().record_id == rid) {
-        const RecordModification& mod = mods->modification();
-        folded->push_back(rid);
-        ++stats->mods_folded;
-        if (mod.deleted) {
-          deleted = true;
-        } else {
-          row = batch.GetRow(i);
-          for (const auto& [col, value] : mod.updates) row[col] = value;
-        }
-        mod_valid = mods->Next();
-      } else {
-        row = batch.GetRow(i);
-      }
-      if (deleted) continue;
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-      }
-      DTL_RETURN_NOT_OK(writer->Append(row));
     }
+    DTL_RETURN_NOT_OK(it->status());
+    ++stats->stripes_rewritten;
+    stats->rows_rewritten += info.num_rows;
   }
-  // Mods past the last stripe are unreachable garbage; fold them too.
-  while (mod_valid) {
+  // Every modification of the file's rows dies with the file. Clean stripes
+  // hold none, so these are the dirty stripes' mods; mods past the last
+  // stripe are strays the plan already folds.
+  auto mods = attached_->NewScannerAt(snapshot->attached, MakeRecordId(file.file_id, 0),
+                                      MakeRecordId(file.file_id, file.rows));
+  while (mods->Next()) {
     folded->push_back(mods->modification().record_id);
     ++stats->mods_folded;
-    mod_valid = mods->Next();
   }
   DTL_RETURN_NOT_OK(mods->status());
   if (writer != nullptr) {

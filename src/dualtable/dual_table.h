@@ -272,10 +272,11 @@ class DualTable : public table::StorageTable {
   /// InputFormat merge of the paper, one per morsel. `meter` (worker-local;
   /// may be null for the global meter) receives the morsel's scan counts.
   /// Order-insensitive consumers may run many of these concurrently; within
-  /// a morsel, batches arrive in record-ID order.
+  /// a morsel, batches arrive in record-ID order. Incremental COMPACT reads
+  /// its one-stripe morsels kUncached, like every statement-internal scan.
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorselAt(
       const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
-      table::ScanMeter* meter);
+      table::ScanMeter* meter, StripeReads reads = StripeReads::kCached);
 
   /// Tracker behind the snapshot.* metric views.
   const SnapshotTracker* snapshot_tracker() const { return snapshot_tracker_.get(); }
@@ -453,7 +454,8 @@ class DualTable : public table::StorageTable {
       const SnapshotPtr& snapshot) const;
 
   /// Rewrites one selected file into (at most) one replacement: dirty
-  /// stripes are decoded/patched/masked, clean stripes raw-copied. Appends
+  /// stripes are re-encoded from the batch UNION READ of that stripe
+  /// (updates patched, deletes masked), clean stripes raw-copied. Appends
   /// the replacement's info to `new_files` (nothing when every row was
   /// deleted) and the folded record IDs to `folded`.
   Status RewriteFileIncremental(const SnapshotPtr& snapshot, const FileCompactionPlan& file,

@@ -551,13 +551,13 @@ Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(
 
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewMorselBatchScanIterator(
     const MasterGenerationPtr& gen, const ScanMorsel& morsel, const table::ScanSpec& spec,
-    bool apply_predicate, size_t batch_rows) const {
+    bool apply_predicate, size_t batch_rows, StripeReads reads) const {
   for (const MasterFileInfo& info : gen->files()) {
     if (info.file_id != morsel.file_id) continue;
     DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
     return std::unique_ptr<MasterScanBatchIterator>(new MasterScanBatchIterator(
         {std::move(reader)}, {morsel.file_id}, spec, schema_.num_fields(),
-        apply_predicate, batch_rows, StripeReads::kCached, morsel.stripe_begin,
+        apply_predicate, batch_rows, reads, morsel.stripe_begin,
         morsel.stripe_end, /*count_skips=*/false));
   }
   return Status::NotFound("no master file with ID " + std::to_string(morsel.file_id));

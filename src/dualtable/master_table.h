@@ -304,7 +304,8 @@ class MasterTable {
   Result<std::unique_ptr<MasterScanBatchIterator>> NewMorselBatchScanIterator(
       const MasterGenerationPtr& gen, const ScanMorsel& morsel,
       const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
+      size_t batch_rows = table::kDefaultBatchRows,
+      StripeReads reads = StripeReads::kCached) const;
 
   // --- latest-visible convenience (baselines and tests; see lint rule 8) ---
 

@@ -4,15 +4,15 @@
 
 namespace dtl::exec {
 
-// --- HashJoinOperator ------------------------------------------------------------
+// --- RowKeyHash / RowKeyEq --------------------------------------------------------
 
-size_t HashJoinOperator::KeyHash::operator()(const Row& key) const {
+size_t RowKeyHash::operator()(const Row& key) const {
   size_t h = 0;
   for (const Value& v : key) h = h * 1315423911u + v.HashCode();
   return h;
 }
 
-bool HashJoinOperator::KeyEq::operator()(const Row& a, const Row& b) const {
+bool RowKeyEq::operator()(const Row& a, const Row& b) const {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].Compare(b[i]) != 0) return false;
@@ -20,8 +20,49 @@ bool HashJoinOperator::KeyEq::operator()(const Row& a, const Row& b) const {
   return true;
 }
 
-HashJoinOperator::HashJoinOperator(std::unique_ptr<Operator> probe,
-                                   std::unique_ptr<Operator> build,
+// --- MaterializingOperator ---------------------------------------------------------
+
+bool MaterializingOperator::Next(table::RowBatch* batch) {
+  if (!materialized_) {
+    materialized_ = true;
+    Result<std::vector<Row>> rows = Materialize();
+    if (!rows.ok()) {
+      status_ = rows.status();
+      return false;
+    }
+    rows_ = std::move(*rows);
+  }
+  if (next_ >= rows_.size()) {
+    rows_.clear();
+    return false;
+  }
+  const size_t n = std::min(rows_.size() - next_, table::kDefaultBatchRows);
+  const size_t width = rows_[next_].size();
+  batch->Reset(width, n);
+  for (size_t c = 0; c < width; ++c) {
+    std::vector<Value> column;
+    column.reserve(n);
+    for (size_t r = next_; r < next_ + n; ++r) column.push_back(std::move(rows_[r][c]));
+    batch->column(c).SetOwned(std::move(column));
+  }
+  next_ += n;
+  return true;
+}
+
+// --- BatchFilterOperator -----------------------------------------------------------
+
+bool BatchFilterOperator::Next(table::RowBatch* batch) {
+  while (child_->Next(batch)) {
+    batch->FilterSelected(pred_, &scratch_, &drops_);
+    if (!batch->empty()) return true;
+  }
+  return false;
+}
+
+// --- HashJoinOperator --------------------------------------------------------------
+
+HashJoinOperator::HashJoinOperator(std::unique_ptr<BatchOperator> probe,
+                                   std::unique_ptr<BatchOperator> build,
                                    std::vector<ValueFn> probe_keys,
                                    std::vector<ValueFn> build_keys, size_t build_width,
                                    Kind kind)
@@ -32,59 +73,86 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<Operator> probe,
       build_width_(build_width),
       kind_(kind) {}
 
-Row HashJoinOperator::MakeKey(const Row& row, const std::vector<ValueFn>& fns) const {
-  Row key;
-  key.reserve(fns.size());
-  for (const auto& fn : fns) key.push_back(fn(row));
-  return key;
+bool HashJoinOperator::MakeKey(const Row& row, const std::vector<ValueFn>& fns) {
+  key_.clear();
+  bool has_null = false;
+  for (const auto& fn : fns) {
+    key_.push_back(fn(row));
+    has_null |= key_.back().is_null();
+  }
+  // SQL join semantics: NULL keys never match.
+  return !has_null;
 }
 
 Status HashJoinOperator::BuildTable() {
-  while (build_->Next()) {
-    Row key = MakeKey(build_->row(), build_keys_);
-    // SQL join semantics: NULL keys never match.
-    bool has_null = std::any_of(key.begin(), key.end(),
-                                [](const Value& v) { return v.is_null(); });
-    if (has_null) continue;
-    hash_[std::move(key)].push_back(build_->row());
+  table::RowBatch batch;
+  while (build_->Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &scratch_);
+      if (!MakeKey(scratch_, build_keys_)) continue;
+      auto it = hash_.find(key_);
+      if (it == hash_.end()) it = hash_.emplace(key_, std::vector<Row>()).first;
+      it->second.push_back(scratch_);
+    }
   }
   DTL_RETURN_NOT_OK(build_->status());
   built_ = true;
   return Status::OK();
 }
 
-bool HashJoinOperator::Next() {
+bool HashJoinOperator::Next(table::RowBatch* batch) {
   if (!built_) {
     status_ = BuildTable();
     if (!status_.ok()) return false;
   }
   while (true) {
-    if (matches_ != nullptr && match_index_ < matches_->size()) {
-      const Row& probe_row = probe_->row();
-      const Row& build_row = (*matches_)[match_index_++];
-      out_ = probe_row;
-      out_.insert(out_.end(), build_row.begin(), build_row.end());
-      return true;
+    if (matches_ == nullptr && next_probe_ >= in_.size()) {
+      if (!probe_->Next(&in_)) {
+        status_ = probe_->status();
+        return false;
+      }
+      next_probe_ = 0;
     }
-    matches_ = nullptr;
-    if (!probe_->Next()) {
-      status_ = probe_->status();
-      return false;
+    const size_t probe_width = in_.num_columns();
+    cols_.resize(probe_width + build_width_);
+    for (auto& col : cols_) col.clear();
+    // Appends scratch_ (the current probe row) ++ `build_row` (NULLs if null).
+    auto emit = [&](const Row* build_row) {
+      for (size_t c = 0; c < probe_width; ++c) cols_[c].push_back(scratch_[c]);
+      for (size_t c = 0; c < build_width_; ++c) {
+        cols_[probe_width + c].push_back(build_row != nullptr ? (*build_row)[c]
+                                                              : Value::Null());
+      }
+    };
+    size_t n = 0;
+    while (n < table::kDefaultBatchRows) {
+      if (matches_ != nullptr && match_index_ < matches_->size()) {
+        emit(&(*matches_)[match_index_++]);
+        ++n;
+        continue;
+      }
+      matches_ = nullptr;
+      if (next_probe_ >= in_.size()) break;
+      in_.MaterializeRow(next_probe_++, &scratch_);
+      if (MakeKey(scratch_, probe_keys_)) {
+        auto it = hash_.find(key_);
+        if (it != hash_.end()) {
+          matches_ = &it->second;
+          match_index_ = 0;
+          continue;
+        }
+      }
+      if (kind_ == Kind::kLeftOuter) {
+        emit(nullptr);
+        ++n;
+      }
     }
-    Row key = MakeKey(probe_->row(), probe_keys_);
-    bool has_null = std::any_of(key.begin(), key.end(),
-                                [](const Value& v) { return v.is_null(); });
-    auto it = has_null ? hash_.end() : hash_.find(key);
-    if (it != hash_.end()) {
-      matches_ = &it->second;
-      match_index_ = 0;
-      continue;
+    if (n == 0) continue;
+    batch->Reset(cols_.size(), n);
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      batch->column(c).SetOwned(std::move(cols_[c]));
     }
-    if (kind_ == Kind::kLeftOuter) {
-      out_ = probe_->row();
-      out_.insert(out_.end(), build_width_, Value::Null());
-      return true;
-    }
+    return true;
   }
 }
 
@@ -168,111 +236,79 @@ Value AggState::Finalize(AggKind kind) const {
 
 // --- HashAggregateOperator ---------------------------------------------------------
 
-HashAggregateOperator::HashAggregateOperator(std::unique_ptr<Operator> child,
-                                             std::vector<ValueFn> group_keys,
-                                             std::vector<AggSpec> aggs)
-    : child_(std::move(child)),
-      group_keys_(std::move(group_keys)),
-      aggs_(std::move(aggs)) {}
-
-namespace {
-
-struct RowHash {
-  size_t operator()(const Row& key) const {
-    size_t h = 0;
-    for (const Value& v : key) h = h * 1315423911u + v.HashCode();
-    return h;
-  }
-};
-struct RowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
-}  // namespace
-
-Status HashAggregateOperator::Materialize() {
-  std::unordered_map<Row, std::vector<AggState>, RowHash, RowEq> groups;
+Result<std::vector<Row>> HashAggregateOperator::Materialize() {
+  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
   if (group_keys_.empty()) {
     groups.emplace(Row{}, std::vector<AggState>(aggs_.size()));  // global aggregate
   }
-  while (child_->Next()) {
-    const Row& in = child_->row();
-    Row key;
-    key.reserve(group_keys_.size());
-    for (const auto& fn : group_keys_) key.push_back(fn(in));
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    if (inserted) it->second.resize(aggs_.size());
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      DTL_RETURN_NOT_OK(it->second[a].Update(aggs_[a], in));
+  table::RowBatch batch;
+  Row in;
+  Row key;
+  while (child_->Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &in);
+      key.clear();
+      for (const auto& fn : group_keys_) key.push_back(fn(in));
+      auto it = groups.find(key);
+      if (it == groups.end()) {
+        it = groups.emplace(key, std::vector<AggState>(aggs_.size())).first;
+      }
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        DTL_RETURN_NOT_OK(it->second[a].Update(aggs_[a], in));
+      }
     }
   }
   DTL_RETURN_NOT_OK(child_->status());
 
-  results_.reserve(groups.size());
-  for (auto& [key, states] : groups) {
-    Row out = key;
+  std::vector<Row> results;
+  results.reserve(groups.size());
+  for (auto& [group, states] : groups) {
+    Row out = group;
     for (size_t a = 0; a < aggs_.size(); ++a) {
       out.push_back(states[a].Finalize(aggs_[a].kind));
     }
-    results_.push_back(std::move(out));
+    results.push_back(std::move(out));
   }
-  // Deterministic output order for tests.
-  std::sort(results_.begin(), results_.end(), [&](const Row& a, const Row& b) {
+  // Groups in key order (deterministic output).
+  std::sort(results.begin(), results.end(), [&](const Row& a, const Row& b) {
     for (size_t i = 0; i < group_keys_.size(); ++i) {
       int c = a[i].Compare(b[i]);
       if (c != 0) return c < 0;
     }
     return false;
   });
-  materialized_ = true;
-  return Status::OK();
-}
-
-bool HashAggregateOperator::Next() {
-  if (!materialized_) {
-    status_ = Materialize();
-    if (!status_.ok()) return false;
-  }
-  if (index_ >= results_.size()) return false;
-  out_ = results_[index_++];
-  return true;
+  return results;
 }
 
 // --- SortOperator ------------------------------------------------------------------
 
-SortOperator::SortOperator(std::unique_ptr<Operator> child, std::vector<ValueFn> keys,
-                           std::vector<bool> ascending)
-    : child_(std::move(child)), keys_(std::move(keys)), ascending_(std::move(ascending)) {}
-
-bool SortOperator::Next() {
-  if (!materialized_) {
-    while (child_->Next()) rows_.push_back(child_->row());
-    status_ = child_->status();
-    if (!status_.ok()) return false;
-    std::stable_sort(rows_.begin(), rows_.end(), [this](const Row& a, const Row& b) {
-      for (size_t i = 0; i < keys_.size(); ++i) {
-        int c = keys_[i](a).Compare(keys_[i](b));
-        if (c != 0) return ascending_[i] ? c < 0 : c > 0;
-      }
-      return false;
-    });
-    materialized_ = true;
+Result<std::vector<Row>> SortOperator::Materialize() {
+  // Each row's sort keys are evaluated once, next to the row.
+  struct Keyed {
+    Row keys;
+    Row row;
+  };
+  std::vector<Keyed> keyed;
+  table::RowBatch batch;
+  while (child_->Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Keyed& k = keyed.emplace_back();
+      batch.MaterializeRow(i, &k.row);
+      k.keys.reserve(keys_.size());
+      for (const auto& fn : keys_) k.keys.push_back(fn(k.row));
+    }
   }
-  if (index_ >= rows_.size()) return false;
-  ++index_;
-  return true;
-}
-
-Result<std::vector<Row>> Collect(Operator* op) {
+  DTL_RETURN_NOT_OK(child_->status());
+  std::stable_sort(keyed.begin(), keyed.end(), [this](const Keyed& a, const Keyed& b) {
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      int c = a.keys[i].Compare(b.keys[i]);
+      if (c != 0) return ascending_[i] ? c < 0 : c > 0;
+    }
+    return false;
+  });
   std::vector<Row> rows;
-  while (op->Next()) rows.push_back(op->row());
-  DTL_RETURN_NOT_OK(op->status());
+  rows.reserve(keyed.size());
+  for (Keyed& k : keyed) rows.push_back(std::move(k.row));
   return rows;
 }
 
@@ -330,11 +366,10 @@ bool BatchProjectOperator::Next(table::RowBatch* batch) {
 Result<std::vector<Row>> CollectBatches(BatchOperator* op) {
   std::vector<Row> rows;
   table::RowBatch batch;
-  Row row;
   while (op->Next(&batch)) {
     for (size_t i = 0; i < batch.size(); ++i) {
+      Row& row = rows.emplace_back();
       batch.MaterializeRow(i, &row);
-      rows.push_back(row);
     }
   }
   DTL_RETURN_NOT_OK(op->status());

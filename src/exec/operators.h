@@ -1,6 +1,12 @@
-// Volcano-style relational operators used by the SQL executor. Operators
-// are storage-agnostic: value extraction is injected as std::functions so
-// this layer does not depend on the SQL expression representation.
+// Batch-at-a-time relational operators used by the SQL executor. There is
+// one operator interface, BatchOperator (a table::BatchIterator), so a
+// storage scan is the leaf of a pipeline as is and every operator above it
+// pulls RowBatches: filter, project and limit work on the selection vector
+// or on column views; hash join, hash aggregate and sort evaluate their
+// bound expressions on one reused scratch row per visible row and emit
+// owned-column batches. Rows materialize once, at the result boundary
+// (CollectBatches). Value extraction is injected as std::functions, so this
+// layer does not depend on the SQL expression representation.
 #pragma once
 
 #include <functional>
@@ -10,141 +16,123 @@
 
 #include "common/schema.h"
 #include "common/status.h"
+#include "table/row_batch.h"
+#include "table/scan_stats.h"
 #include "table/storage_table.h"
 
 namespace dtl::exec {
 
-/// Pull operator. Schema-free: rows are positional; the planner tracks
-/// column meaning.
-class Operator {
- public:
-  virtual ~Operator() = default;
-  virtual bool Next() = 0;
-  virtual const Row& row() const = 0;
-  virtual const Status& status() const = 0;
-};
+/// Batch pull operator: same contract as table::BatchIterator — producers
+/// fill the caller's RowBatch, never emit an empty batch, and the contents
+/// stay valid until the next call. Operators are schema-free: columns are
+/// positional and the planner tracks their meaning.
+using BatchOperator = table::BatchIterator;
 
-/// Extracts a value from a row (compiled expression).
+/// Extracts a value from a full-width row (compiled expression).
 using ValueFn = std::function<Value(const Row&)>;
-/// Row predicate.
-using PredFn = std::function<bool(const Row&)>;
 
-/// Shared empty row, returned by materializing operators whose row() is
-/// called before the first successful Next().
-inline const Row& EmptyRow() {
-  static const Row kEmpty;
-  return kEmpty;
-}
-
-/// Adapts a storage RowIterator.
-class ScanOperator : public Operator {
- public:
-  explicit ScanOperator(std::unique_ptr<table::RowIterator> it) : it_(std::move(it)) {}
-  bool Next() override { return it_->Next(); }
-  const Row& row() const override { return it_->row(); }
-  const Status& status() const override { return it_->status(); }
-
- private:
-  std::unique_ptr<table::RowIterator> it_;
+/// Hash and equality of a row of key values (join keys, group keys, MERGE
+/// keys). Equality is Value::Compare; a NULL equals a NULL here, so callers
+/// that need SQL join semantics skip NULL keys themselves.
+struct RowKeyHash {
+  size_t operator()(const Row& key) const;
+};
+struct RowKeyEq {
+  bool operator()(const Row& a, const Row& b) const;
 };
 
-/// Emits rows from memory (VALUES lists, subplan results).
-class RowsOperator : public Operator {
+/// Base of the operators that compute their whole output before emitting
+/// any of it (sort, aggregate, deferred rows): the first Next() calls
+/// Materialize() once, then the rows leave as owned-column batches of at
+/// most table::kDefaultBatchRows rows.
+class MaterializingOperator : public BatchOperator {
  public:
-  explicit RowsOperator(std::vector<Row> rows) : rows_(std::move(rows)) {}
-  bool Next() override {
-    if (index_ >= rows_.size()) return false;
-    ++index_;
-    return true;
-  }
-  const Row& row() const override {
-    return index_ == 0 ? EmptyRow() : rows_[index_ - 1];
-  }
-  const Status& status() const override { return status_; }
+  bool Next(table::RowBatch* batch) final;
+  const Status& status() const final { return status_; }
+
+ protected:
+  /// The operator's complete output, all rows the same width.
+  virtual Result<std::vector<Row>> Materialize() = 0;
 
  private:
+  bool materialized_ = false;
   std::vector<Row> rows_;
-  size_t index_ = 0;
+  size_t next_ = 0;
   Status status_;
 };
 
-class FilterOperator : public Operator {
+/// Emits the rows `produce` returns, computed on the first Next() (so a
+/// traced pipeline charges the work to this step): an index lookup's
+/// matches, a parallel aggregate's row.
+class DeferredRowsOperator : public MaterializingOperator {
  public:
-  FilterOperator(std::unique_ptr<Operator> child, PredFn pred)
+  explicit DeferredRowsOperator(std::function<Result<std::vector<Row>>()> produce)
+      : produce_(std::move(produce)) {}
+
+ protected:
+  Result<std::vector<Row>> Materialize() override { return produce_(); }
+
+ private:
+  std::function<Result<std::vector<Row>>()> produce_;
+};
+
+/// Keeps the visible rows that pass `pred` by narrowing each batch's
+/// selection (RowBatch::FilterSelected, the call the scan's pushed
+/// predicate uses); batches left empty are skipped.
+class BatchFilterOperator : public BatchOperator {
+ public:
+  BatchFilterOperator(std::unique_ptr<BatchOperator> child, table::RowPredicateFn pred)
       : child_(std::move(child)), pred_(std::move(pred)) {}
-  bool Next() override {
-    while (child_->Next()) {
-      if (pred_(child_->row())) return true;
-    }
-    return false;
-  }
-  const Row& row() const override { return child_->row(); }
+  bool Next(table::RowBatch* batch) override;
   const Status& status() const override { return child_->status(); }
 
  private:
-  std::unique_ptr<Operator> child_;
-  PredFn pred_;
+  std::unique_ptr<BatchOperator> child_;
+  table::RowPredicateFn pred_;
+  Row scratch_;
+  /// Residual-filter drops are not scan predicate drops; they stay here
+  /// instead of reaching the session or global scan meter.
+  table::ScanMeter drops_;
 };
 
-/// Computes an output row from each input row.
-class ProjectOperator : public Operator {
- public:
-  ProjectOperator(std::unique_ptr<Operator> child, std::vector<ValueFn> exprs)
-      : child_(std::move(child)), exprs_(std::move(exprs)) {}
-  bool Next() override {
-    if (!child_->Next()) return false;
-    out_.clear();
-    out_.reserve(exprs_.size());
-    for (const auto& e : exprs_) out_.push_back(e(child_->row()));
-    return true;
-  }
-  const Row& row() const override { return out_; }
-  const Status& status() const override { return child_->status(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  std::vector<ValueFn> exprs_;
-  Row out_;
-};
-
-/// Hash equi-join; output row = probe row ++ build row. Build side is fully
-/// materialized (Hive's map join). Supports INNER and LEFT OUTER (probe
-/// side preserved, build columns NULL).
-class HashJoinOperator : public Operator {
+/// Hash equi-join; output row = probe row ++ build row. The build side is
+/// fully materialized (Hive's map join). Supports INNER and LEFT OUTER
+/// (probe side preserved, build columns NULL). NULL keys never match.
+/// Output batches hold at most table::kDefaultBatchRows rows.
+class HashJoinOperator : public BatchOperator {
  public:
   enum class Kind { kInner, kLeftOuter };
 
-  HashJoinOperator(std::unique_ptr<Operator> probe, std::unique_ptr<Operator> build,
-                   std::vector<ValueFn> probe_keys, std::vector<ValueFn> build_keys,
-                   size_t build_width, Kind kind);
+  HashJoinOperator(std::unique_ptr<BatchOperator> probe,
+                   std::unique_ptr<BatchOperator> build, std::vector<ValueFn> probe_keys,
+                   std::vector<ValueFn> build_keys, size_t build_width, Kind kind);
 
-  bool Next() override;
-  const Row& row() const override { return out_; }
+  bool Next(table::RowBatch* batch) override;
   const Status& status() const override { return status_; }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Row& key) const;
-  };
-  struct KeyEq {
-    bool operator()(const Row& a, const Row& b) const;
-  };
-
   Status BuildTable();
-  Row MakeKey(const Row& row, const std::vector<ValueFn>& fns) const;
+  /// Evaluates `fns` on `row` into key_; false when a key is NULL.
+  bool MakeKey(const Row& row, const std::vector<ValueFn>& fns);
 
-  std::unique_ptr<Operator> probe_;
-  std::unique_ptr<Operator> build_;
+  std::unique_ptr<BatchOperator> probe_;
+  std::unique_ptr<BatchOperator> build_;
   std::vector<ValueFn> probe_keys_;
   std::vector<ValueFn> build_keys_;
   size_t build_width_;
   Kind kind_;
 
   bool built_ = false;
-  std::unordered_map<Row, std::vector<Row>, KeyHash, KeyEq> hash_;
+  std::unordered_map<Row, std::vector<Row>, RowKeyHash, RowKeyEq> hash_;
+  table::RowBatch in_;     // current probe batch
+  size_t next_probe_ = 0;  // next visible row of in_ to probe
+  Row scratch_;            // the probe row being joined
+  /// Build rows matching scratch_ and the next one to emit; null when the
+  /// probe row is done.
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
-  Row out_;
+  Row key_;
+  std::vector<std::vector<Value>> cols_;
   Status status_;
 };
 
@@ -182,86 +170,44 @@ struct AggState {
   Value Finalize(AggKind kind) const;
 };
 
-/// Hash GROUP BY; output row = group keys ++ aggregate results. With no
-/// group keys produces exactly one global-aggregate row (even on empty
-/// input, matching SQL semantics).
-class HashAggregateOperator : public Operator {
+/// Hash GROUP BY; output row = group keys ++ aggregate results, groups in
+/// key order. With no group keys produces exactly one global-aggregate row
+/// (even on empty input, matching SQL semantics).
+class HashAggregateOperator : public MaterializingOperator {
  public:
-  HashAggregateOperator(std::unique_ptr<Operator> child, std::vector<ValueFn> group_keys,
-                        std::vector<AggSpec> aggs);
+  HashAggregateOperator(std::unique_ptr<BatchOperator> child,
+                        std::vector<ValueFn> group_keys, std::vector<AggSpec> aggs)
+      : child_(std::move(child)),
+        group_keys_(std::move(group_keys)),
+        aggs_(std::move(aggs)) {}
 
-  bool Next() override;
-  const Row& row() const override { return out_; }
-  const Status& status() const override { return status_; }
+ protected:
+  Result<std::vector<Row>> Materialize() override;
 
  private:
-  Status Materialize();
-
-  std::unique_ptr<Operator> child_;
+  std::unique_ptr<BatchOperator> child_;
   std::vector<ValueFn> group_keys_;
   std::vector<AggSpec> aggs_;
-  bool materialized_ = false;
-  std::vector<Row> results_;
-  size_t index_ = 0;
-  Row out_;
-  Status status_;
 };
 
-/// Full sort (ORDER BY). Comparators applied in order; `ascending[i]` pairs
-/// with `keys[i]`.
-class SortOperator : public Operator {
+/// Full stable sort (ORDER BY). Comparators applied in order; `ascending[i]`
+/// pairs with `keys[i]`.
+class SortOperator : public MaterializingOperator {
  public:
-  SortOperator(std::unique_ptr<Operator> child, std::vector<ValueFn> keys,
-               std::vector<bool> ascending);
-  bool Next() override;
-  const Row& row() const override {
-    return index_ == 0 ? EmptyRow() : rows_[index_ - 1];
-  }
-  const Status& status() const override { return status_; }
+  SortOperator(std::unique_ptr<BatchOperator> child, std::vector<ValueFn> keys,
+               std::vector<bool> ascending)
+      : child_(std::move(child)),
+        keys_(std::move(keys)),
+        ascending_(std::move(ascending)) {}
+
+ protected:
+  Result<std::vector<Row>> Materialize() override;
 
  private:
-  std::unique_ptr<Operator> child_;
+  std::unique_ptr<BatchOperator> child_;
   std::vector<ValueFn> keys_;
   std::vector<bool> ascending_;
-  bool materialized_ = false;
-  std::vector<Row> rows_;
-  size_t index_ = 0;
-  Status status_;
 };
-
-class LimitOperator : public Operator {
- public:
-  LimitOperator(std::unique_ptr<Operator> child, uint64_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-  bool Next() override {
-    if (emitted_ >= limit_) return false;
-    if (!child_->Next()) return false;
-    ++emitted_;
-    return true;
-  }
-  const Row& row() const override { return child_->row(); }
-  const Status& status() const override { return child_->status(); }
-
- private:
-  std::unique_ptr<Operator> child_;
-  uint64_t limit_;
-  uint64_t emitted_ = 0;
-};
-
-/// Drains an operator tree.
-Result<std::vector<Row>> Collect(Operator* op);
-
-// --- Vectorized (batch-at-a-time) operators ----------------------------------------
-//
-// Same pull contract as table::BatchIterator: producers fill the caller's
-// RowBatch, never emit an empty batch, and the contents stay valid until the
-// next call. The executor uses this family for the SELECT batch route (scan
-// with the pushed predicate -> project -> limit) and bridges to the row operators above with
-// table::BatchToRowAdapter where batches end (joins, aggregates, sorts).
-
-/// Batch pull operator. A storage BatchIterator is one, so it is the leaf of
-/// a batch pipeline as is.
-using BatchOperator = table::BatchIterator;
 
 /// Vectorized projection. When every output is a plain column reference
 /// (`column_refs[i] >= 0` for all i) the output batch is zero-copy views of
@@ -307,7 +253,7 @@ class BatchLimitOperator : public BatchOperator {
   uint64_t remaining_;
 };
 
-/// Drains a batch operator tree into rows.
+/// Drains a batch operator tree into rows: the QueryResult boundary.
 Result<std::vector<Row>> CollectBatches(BatchOperator* op);
 
 }  // namespace dtl::exec

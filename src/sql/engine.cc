@@ -91,8 +91,7 @@ Status BindScanFilter(const std::vector<const Expr*>& conjuncts, const Scope& sc
 enum class SelectRoute {
   kParallelAggregate,  // morsel-parallel global aggregate over one DualTable
   kIndexLookup,        // secondary-index probe on one DualTable
-  kBatch,              // batch pipeline: scan -> project -> limit
-  kRow,                // row operator tree: joins, aggregates, sorts
+  kBatch,              // batch operator pipeline: everything else
 };
 
 /// A SELECT planned once by Engine::PlanSelect. Engine::RunSelect executes
@@ -135,16 +134,16 @@ struct SelectPlan {
     std::vector<exec::ValueFn> build_keys;  // hash-join build side
     std::vector<exec::AggSpec> aggs;        // hash-aggregate, parallel-scan
     std::vector<bool> ascending;            // sort
-    std::vector<int> column_refs;  // batch project: input ordinal of a bare column ref, else -1
-    exec::PredFn predicate;        // filter
+    std::vector<int> column_refs;     // project: input ordinal of a column ref, else -1
+    table::RowPredicateFn predicate;  // filter
   };
 
   const SelectStmt* stmt = nullptr;
-  SelectRoute route = SelectRoute::kRow;
+  SelectRoute route = SelectRoute::kBatch;
   std::vector<Slot> slots;
   std::vector<std::string> column_names;
-  /// Operators in execution order; the row route reads them as a postfix
-  /// program (a join pops its build and probe inputs).
+  /// Operators in execution order, read as a postfix program (a join pops
+  /// its build and probe inputs).
   std::vector<Step> steps;
   /// Index route: the probed column ordinal and its probe values.
   size_t probe_column = 0;
@@ -163,7 +162,7 @@ constexpr const char* kOpNames[] = {
 const char* OpName(Op op) { return kOpNames[static_cast<size_t>(op)]; }
 
 /// EXPLAIN name of each SelectRoute, in enum order.
-constexpr const char* kRouteNames[] = {"parallel aggregate", "index lookup", "batch", "row"};
+constexpr const char* kRouteNames[] = {"parallel aggregate", "index lookup", "batch"};
 
 /// Index of the table a flat ordinal belongs to.
 size_t TableOf(const std::vector<SelectPlan::Slot>& slots, size_t ordinal) {
@@ -243,30 +242,9 @@ bool FindIndexProbe(const std::vector<const Expr*>& conjuncts, const Scope& scop
   return false;
 }
 
-/// Row-at-a-time trace decorator: charges each Next()'s wall time and the
-/// emitted row to a flat child node of the execute node. Only inserted when
-/// the session tracer is active, so untraced queries pay nothing.
-class TracedOperator : public exec::Operator {
- public:
-  TracedOperator(std::unique_ptr<exec::Operator> child, obs::TraceNode* node)
-      : child_(std::move(child)), node_(node) {}
-  bool Next() override {
-    Stopwatch watch;
-    const bool has = child_->Next();
-    node_->stats.wall_seconds += watch.ElapsedSeconds();
-    if (has) ++node_->stats.rows;
-    return has;
-  }
-  const Row& row() const override { return child_->row(); }
-  const Status& status() const override { return child_->status(); }
-
- private:
-  std::unique_ptr<exec::Operator> child_;
-  obs::TraceNode* node_;
-};
-
-/// Batch-pipeline analog of TracedOperator: also counts batches and the
-/// decoded payload bytes flowing through the stage.
+/// Trace decorator: charges each Next()'s wall time, the emitted batch and
+/// its visible rows to a flat child node of the execute node. Only inserted
+/// when the session tracer is active, so untraced queries pay nothing.
 class TracedBatchOperator : public exec::BatchOperator {
  public:
   TracedBatchOperator(std::unique_ptr<exec::BatchOperator> child, obs::TraceNode* node)
@@ -551,8 +529,9 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
     exec_node = tracer->AddNode(obs::names::kSpanExecute);
   }
   obs::Span exec_span(tracer, exec_node);
+  DTL_ASSIGN_OR_RETURN(auto pipeline, RunSelect(plan, exec_node));
   QueryResult result;
-  DTL_ASSIGN_OR_RETURN(result.rows, RunSelect(plan, exec_node));
+  DTL_ASSIGN_OR_RETURN(result.rows, exec::CollectBatches(pipeline.get()));
   result.column_names = std::move(plan.column_names);
   return result;
 }
@@ -709,12 +688,10 @@ Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
   auto bind_outputs = [&](SelectPlan::Step* step) -> Status {
     for (const Expr* e : select_exprs) {
       DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
-      if (plan.route == SelectRoute::kBatch) {
-        step->column_refs.push_back(
-            e->kind == Expr::Kind::kColumnRef && bound.columns.size() == 1
-                ? static_cast<int>(bound.columns.front())
-                : -1);
-      }
+      const bool column_ref =
+          e->kind == Expr::Kind::kColumnRef && bound.columns.size() == 1;
+      step->column_refs.push_back(column_ref ? static_cast<int>(bound.columns.front())
+                                             : -1);
       step->fns.push_back(std::move(bound.fn));
     }
     return Status::OK();
@@ -740,10 +717,9 @@ Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
     DTL_RETURN_NOT_OK(bind_outputs(&add_step(Op::kIndexLookup, 0)));
     return plan;
   }
-  // Batch and row routes: a left-deep join tree (probe = accumulated left,
-  // build = the new table), residual filters, then aggregation, sort,
-  // project, limit. A batch plan is the join-, filter-, aggregate- and
-  // sort-free case: on one table every WHERE conjunct is pushed into the scan.
+  // Batch route: a left-deep join tree (probe = accumulated left, build =
+  // the new table), residual filters, then aggregation, sort, project,
+  // limit. On one table every WHERE conjunct is pushed into the scan.
   add_step(Op::kScan, 0);
   for (size_t j = 0; j < stmt.joins.size(); ++j) {
     const JoinClause& join = stmt.joins[j];
@@ -849,22 +825,36 @@ Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
         sort.ascending.push_back(stmt.order_by[i].ascending);
       }
     }
+    // A select item that is a group key or an aggregate call reads its
+    // aggregate-row slot as is (the slots BindPostAggregate resolves).
+    auto slot_of = [&](const Expr* e) {
+      for (size_t i = 0; i < group_ptrs.size(); ++i) {
+        if (group_ptrs[i]->Equals(*e)) return static_cast<int>(i);
+      }
+      for (size_t j = 0; j < agg_ptrs.size(); ++j) {
+        if (agg_ptrs[j]->Equals(*e)) return static_cast<int>(group_ptrs.size() + j);
+      }
+      return -1;
+    };
     SelectPlan::Step& project = add_step(Op::kProject);
     for (const Expr* e : select_exprs) {
       DTL_ASSIGN_OR_RETURN(exec::ValueFn fn,
                            BindPostAggregate(*e, group_ptrs, agg_ptrs, scope));
       project.fns.push_back(std::move(fn));
+      project.column_refs.push_back(slot_of(e));
     }
   }
   if (stmt.limit.has_value()) add_step(Op::kLimit);
   return plan;
 }
 
-Result<std::vector<Row>> Engine::RunSelect(SelectPlan& plan, obs::TraceNode* trace_parent) {
+Result<std::unique_ptr<exec::BatchOperator>> Engine::RunSelect(
+    SelectPlan& plan, obs::TraceNode* trace_parent) {
   const SelectStmt& stmt = *plan.stmt;
   // One trace node per step, in step order: EXPLAIN ANALYZE shows exactly
   // the operators EXPLAIN prints. Untraced runs allocate none.
   std::vector<obs::TraceNode*> traced;
+  auto node = [&traced](size_t step) { return traced.empty() ? nullptr : traced[step]; };
   if (trace_parent != nullptr) {
     for (const SelectPlan::Step& step : plan.steps) {
       traced.push_back(exec_.tracer->AddNode(
@@ -873,115 +863,88 @@ Result<std::vector<Row>> Engine::RunSelect(SelectPlan& plan, obs::TraceNode* tra
           trace_parent));
     }
   }
-  auto node = [&traced](size_t step) { return traced.empty() ? nullptr : traced[step]; };
-
-  // The single-operator routes compute the SELECT list from the first step.
-  auto output = [&plan](const Row& in) {
+  // The single-operator routes compute the SELECT list from their step's
+  // outputs and apply LIMIT themselves.
+  const std::optional<uint64_t> limit = stmt.limit;
+  auto output = [](const std::vector<exec::ValueFn>& fns, const Row& in) {
     Row out;
-    out.reserve(plan.steps[0].fns.size());
-    for (const auto& fn : plan.steps[0].fns) out.push_back(fn(in));
+    out.reserve(fns.size());
+    for (const auto& fn : fns) out.push_back(fn(in));
     return out;
   };
-  switch (plan.route) {
-    case SelectRoute::kParallelAggregate: {
-      SelectPlan::Slot& slot = plan.slots[0];
-      exec::ParallelScanner scanner(static_cast<dual::DualTable*>(slot.storage.get()),
-                                    std::move(slot.spec),
-                                    {.pool = exec_.pool,
-                                     .parallelism = exec_.parallelism,
-                                     .morsel_stripes = exec_.morsel_stripes,
-                                     .metrics = exec_.metrics,
-                                     .snapshot = slot.snapshot});
-      DTL_ASSIGN_OR_RETURN(Row agg_row, scanner.Aggregate(plan.steps[0].aggs));
-      std::vector<Row> rows;
-      if (!stmt.limit.has_value() || *stmt.limit > 0) rows.push_back(output(agg_row));
-      return rows;
-    }
-    case SelectRoute::kIndexLookup: {
-      // Candidate record ids -> targeted stripe fetches through the shared
-      // cache -> delta patch -> probe re-verify -> pushed predicate.
-      SelectPlan::Slot& slot = plan.slots[0];
-      auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-      Stopwatch lookup_watch;
-      DTL_ASSIGN_OR_RETURN(auto matches, dual->IndexLookupAt(slot.snapshot, plan.probe_column,
-                                                             plan.probes, slot.spec));
-      if (obs::TraceNode* lookup = node(0)) {
-        lookup->stats.wall_seconds += lookup_watch.ElapsedSeconds();
-        lookup->stats.rows += matches.size();
-      }
-      std::vector<Row> rows;
-      for (const auto& match : matches) {
-        if (stmt.limit.has_value() && rows.size() >= *stmt.limit) break;
-        rows.push_back(output(match.second));
-      }
-      return rows;
-    }
-    case SelectRoute::kBatch: {
-      // Batch-at-a-time: storage batches (predicate applied inside the scan)
-      // -> vectorized projection -> vectorized limit. Rows materialize only
-      // at the result boundary.
-      std::unique_ptr<exec::BatchOperator> op;
-      for (size_t i = 0; i < plan.steps.size(); ++i) {
-        SelectPlan::Step& step = plan.steps[i];
-        if (step.op == Op::kScan) {
-          const SelectPlan::Slot& slot = plan.slots[step.slot];
-          if (slot.snapshot != nullptr) {
-            auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-            DTL_ASSIGN_OR_RETURN(op, dual->ScanBatchesAt(slot.snapshot, slot.spec));
-          } else {
-            DTL_ASSIGN_OR_RETURN(op, slot.storage->ScanBatches(slot.spec));
-          }
-        } else if (step.op == Op::kProject) {
-          op = std::make_unique<exec::BatchProjectOperator>(
-              std::move(op), std::move(step.fns), std::move(step.column_refs));
-        } else {
-          op = std::make_unique<exec::BatchLimitOperator>(std::move(op), *stmt.limit);
-        }
-        if (node(i) != nullptr) {
-          op = std::make_unique<TracedBatchOperator>(std::move(op), node(i));
-        }
-      }
-      return exec::CollectBatches(op.get());
-    }
-    case SelectRoute::kRow:
-      break;
-  }
 
-  // Row route: the steps are a postfix program over an operator stack.
-  std::vector<std::unique_ptr<exec::Operator>> stack;
+  // The steps are a postfix program over an operator stack.
+  std::vector<std::unique_ptr<exec::BatchOperator>> stack;
   auto pop = [&stack]() {
-    std::unique_ptr<exec::Operator> top = std::move(stack.back());
+    std::unique_ptr<exec::BatchOperator> top = std::move(stack.back());
     stack.pop_back();
     return top;
   };
   for (size_t i = 0; i < plan.steps.size(); ++i) {
     SelectPlan::Step& step = plan.steps[i];
-    std::unique_ptr<exec::Operator> op;
+    std::unique_ptr<exec::BatchOperator> op;
     switch (step.op) {
+      case Op::kParallelScan: {
+        SelectPlan::Slot& slot = plan.slots[step.slot];
+        exec::ParallelScanner scanner(static_cast<dual::DualTable*>(slot.storage.get()),
+                                      std::move(slot.spec),
+                                      {.pool = exec_.pool,
+                                       .parallelism = exec_.parallelism,
+                                       .morsel_stripes = exec_.morsel_stripes,
+                                       .metrics = exec_.metrics,
+                                       .snapshot = slot.snapshot});
+        op = std::make_unique<exec::DeferredRowsOperator>(
+            [scanner = std::move(scanner), aggs = std::move(step.aggs),
+             fns = std::move(step.fns), limit,
+             output]() mutable -> Result<std::vector<Row>> {
+              DTL_ASSIGN_OR_RETURN(Row agg_row, scanner.Aggregate(aggs));
+              std::vector<Row> rows;
+              if (!limit.has_value() || *limit > 0) rows.push_back(output(fns, agg_row));
+              return rows;
+            });
+        break;
+      }
+      case Op::kIndexLookup: {
+        // Candidate record ids -> targeted stripe fetches through the shared
+        // cache -> delta patch -> probe re-verify -> pushed predicate.
+        SelectPlan::Slot& slot = plan.slots[step.slot];
+        op = std::make_unique<exec::DeferredRowsOperator>(
+            [dual = static_cast<dual::DualTable*>(slot.storage.get()),
+             snapshot = slot.snapshot, spec = std::move(slot.spec),
+             column = plan.probe_column, probes = std::move(plan.probes),
+             fns = std::move(step.fns), limit, output]() -> Result<std::vector<Row>> {
+              DTL_ASSIGN_OR_RETURN(auto matches,
+                                   dual->IndexLookupAt(snapshot, column, probes, spec));
+              std::vector<Row> rows;
+              for (const auto& match : matches) {
+                if (limit.has_value() && rows.size() >= *limit) break;
+                rows.push_back(output(fns, match.second));
+              }
+              return rows;
+            });
+        break;
+      }
       case Op::kScan: {
         SelectPlan::Slot& slot = plan.slots[step.slot];
         if (slot.derived != nullptr) {
-          // The child plan runs here, inside the parent's execute stage.
-          DTL_ASSIGN_OR_RETURN(std::vector<Row> rows, RunSelect(*slot.derived, node(i)));
-          op = std::make_unique<exec::RowsOperator>(std::move(rows));
+          // The child plan's pipeline is this scan's leaf and streams into
+          // it; its steps trace under this scan's node.
+          DTL_ASSIGN_OR_RETURN(op, RunSelect(*slot.derived, node(i)));
           if (slot.spec.predicate) {
-            op = std::make_unique<exec::FilterOperator>(std::move(op), slot.spec.predicate);
+            op = std::make_unique<exec::BatchFilterOperator>(std::move(op),
+                                                             slot.spec.predicate);
           }
-          break;
-        }
-        std::unique_ptr<table::RowIterator> it;
-        if (slot.snapshot != nullptr) {
+        } else if (slot.snapshot != nullptr) {
           auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-          DTL_ASSIGN_OR_RETURN(it, dual->ScanAt(slot.snapshot, slot.spec));
+          DTL_ASSIGN_OR_RETURN(op, dual->ScanBatchesAt(slot.snapshot, slot.spec));
         } else {
-          DTL_ASSIGN_OR_RETURN(it, slot.storage->Scan(slot.spec));
+          DTL_ASSIGN_OR_RETURN(op, slot.storage->ScanBatches(slot.spec));
         }
-        op = std::make_unique<exec::ScanOperator>(std::move(it));
         break;
       }
       case Op::kJoin: {
-        std::unique_ptr<exec::Operator> build = pop();
-        std::unique_ptr<exec::Operator> probe = pop();
+        std::unique_ptr<exec::BatchOperator> build = pop();
+        std::unique_ptr<exec::BatchOperator> probe = pop();
         op = std::make_unique<exec::HashJoinOperator>(
             std::move(probe), std::move(build), std::move(step.fns),
             std::move(step.build_keys), plan.slots[step.slot].width,
@@ -990,7 +953,8 @@ Result<std::vector<Row>> Engine::RunSelect(SelectPlan& plan, obs::TraceNode* tra
         break;
       }
       case Op::kFilter:
-        op = std::make_unique<exec::FilterOperator>(pop(), std::move(step.predicate));
+        op = std::make_unique<exec::BatchFilterOperator>(pop(),
+                                                         std::move(step.predicate));
         break;
       case Op::kAggregate:
         op = std::make_unique<exec::HashAggregateOperator>(pop(), std::move(step.fns),
@@ -1001,19 +965,19 @@ Result<std::vector<Row>> Engine::RunSelect(SelectPlan& plan, obs::TraceNode* tra
                                                   std::move(step.ascending));
         break;
       case Op::kProject:
-        op = std::make_unique<exec::ProjectOperator>(pop(), std::move(step.fns));
+        op = std::make_unique<exec::BatchProjectOperator>(pop(), std::move(step.fns),
+                                                          std::move(step.column_refs));
         break;
       case Op::kLimit:
-        op = std::make_unique<exec::LimitOperator>(pop(), *stmt.limit);
+        op = std::make_unique<exec::BatchLimitOperator>(pop(), *stmt.limit);
         break;
-      case Op::kParallelScan:
-      case Op::kIndexLookup:
-        return Status::Internal("single-operator route step in a row plan");
     }
-    if (node(i) != nullptr) op = std::make_unique<TracedOperator>(std::move(op), node(i));
+    if (node(i) != nullptr) {
+      op = std::make_unique<TracedBatchOperator>(std::move(op), node(i));
+    }
     stack.push_back(std::move(op));
   }
-  return exec::Collect(stack.back().get());
+  return std::move(stack.back());
 }
 
 Result<QueryResult> Engine::ExecuteCreate(const CreateTableStmt& stmt) {
@@ -1250,13 +1214,6 @@ Result<QueryResult> Engine::ExecuteCompact(const CompactStmt& stmt) {
 
 namespace {
 
-struct RowKeyHash {
-  size_t operator()(const Row& key) const {
-    size_t h = 0;
-    for (const Value& v : key) h = h * 1315423911u + v.HashCode();
-    return h;
-  }
-};
 /// The MERGE key of a row: its values at the key ordinals.
 Row KeyOf(const Row& row, const std::vector<size_t>& ordinals) {
   Row key;
@@ -1265,15 +1222,8 @@ Row KeyOf(const Row& row, const std::vector<size_t>& ordinals) {
   return key;
 }
 
-struct RowKeyEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
+/// MERGE's source and matched sets, keyed by the key-column values.
+using KeyedRows = std::unordered_map<Row, Row, exec::RowKeyHash, exec::RowKeyEq>;
 
 }  // namespace
 
@@ -1290,7 +1240,7 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
   }
 
   // Evaluate source tuples and index them by key.
-  auto source = std::make_shared<std::unordered_map<Row, Row, RowKeyHash, RowKeyEq>>();
+  auto source = std::make_shared<KeyedRows>();
   for (const auto& tuple : stmt.rows) {
     DTL_ASSIGN_OR_RETURN(Row values, EvaluateTuple(tuple));
     DTL_ASSIGN_OR_RETURN(Row row, CoerceRow(values, schema, "MERGE tuple"));
@@ -1298,7 +1248,7 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
   }
 
   // Pass 1: which source keys already exist in the table?
-  auto matched = std::make_shared<std::unordered_map<Row, Row, RowKeyHash, RowKeyEq>>();
+  auto matched = std::make_shared<KeyedRows>();
   {
     table::ScanSpec probe;
     probe.meter = exec_.scan_meter;
@@ -1308,8 +1258,16 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
     probe.predicate = [source, key_ords](const Row& row) {
       return source->count(KeyOf(row, key_ords)) > 0;
     };
-    DTL_ASSIGN_OR_RETURN(auto it, entry.table->Scan(probe));
-    while (it->Next()) (*matched)[KeyOf(it->row(), key_ordinals)] = Row{};
+    DTL_ASSIGN_OR_RETURN(auto it, entry.table->ScanBatches(probe));
+    table::RowBatch batch;
+    while (it->Next(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        Row key;
+        key.reserve(key_ordinals.size());
+        for (size_t ord : key_ordinals) key.push_back(batch.ValueAt(ord, i));
+        (*matched)[std::move(key)] = Row{};
+      }
+    }
     DTL_RETURN_NOT_OK(it->status());
   }
 

@@ -15,6 +15,7 @@
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "exec/operators.h"
 #include "fs/filesystem.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -101,9 +102,11 @@ class Engine {
   /// chooses the route, and lists the operator steps. FROM subqueries become
   /// child plans.
   Result<SelectPlan> PlanSelect(const SelectStmt& stmt);
-  /// Executes a plan, consuming its bound steps. With a non-null
+  /// Builds the plan's batch operator pipeline from its steps, consuming
+  /// them; pulling the pipeline executes the plan. With a non-null
   /// `trace_parent`, each step gets a trace node under it, in step order.
-  Result<std::vector<Row>> RunSelect(SelectPlan& plan, obs::TraceNode* trace_parent);
+  Result<std::unique_ptr<exec::BatchOperator>> RunSelect(SelectPlan& plan,
+                                                         obs::TraceNode* trace_parent);
   Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt);
   Result<QueryResult> ExecuteDrop(const DropTableStmt& stmt);
   Result<QueryResult> ExecuteInsert(const InsertStmt& stmt);

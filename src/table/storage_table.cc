@@ -114,18 +114,4 @@ Result<std::vector<Row>> CollectRows(StorageTable* table, const ScanSpec& spec) 
   return rows;
 }
 
-Result<std::vector<Row>> CollectBatchRows(BatchIterator* it) {
-  std::vector<Row> rows;
-  RowBatch batch;
-  while (it->Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Row row;
-      batch.MaterializeRow(i, &row);
-      rows.push_back(std::move(row));
-    }
-  }
-  DTL_RETURN_NOT_OK(it->status());
-  return rows;
-}
-
 }  // namespace dtl::table

@@ -131,7 +131,4 @@ class StorageTable {
 /// Drains a scan into memory (tests/examples; not for big tables).
 Result<std::vector<Row>> CollectRows(StorageTable* table, const ScanSpec& spec);
 
-/// Drains a batch iterator into materialized rows (tests/equivalence).
-Result<std::vector<Row>> CollectBatchRows(BatchIterator* it);
-
 }  // namespace dtl::table

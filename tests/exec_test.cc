@@ -1,13 +1,66 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/operators.h"
 
 namespace dtl::exec {
 namespace {
 
-std::unique_ptr<Operator> MakeRows(std::vector<Row> rows) {
-  return std::make_unique<RowsOperator>(std::move(rows));
+/// Test-local batch source: emits `rows` as owned-column batches of
+/// `batch_rows` rows. With `pred`, failing rows stay in place behind a
+/// selection vector (as a storage scan's pushed predicate leaves them) and
+/// batches with no survivors are skipped.
+class VectorBatchSource : public BatchOperator {
+ public:
+  VectorBatchSource(std::vector<Row> rows, size_t batch_rows,
+                    table::RowPredicateFn pred = nullptr)
+      : rows_(std::move(rows)), batch_rows_(batch_rows), pred_(std::move(pred)) {}
+  bool Next(table::RowBatch* batch) override {
+    while (next_ < rows_.size()) {
+      const size_t n = std::min(batch_rows_, rows_.size() - next_);
+      const size_t width = rows_[next_].size();
+      batch->Reset(width, n);
+      for (size_t c = 0; c < width; ++c) {
+        std::vector<Value> column;
+        for (size_t r = next_; r < next_ + n; ++r) column.push_back(rows_[r][c]);
+        batch->column(c).SetOwned(std::move(column));
+      }
+      next_ += n;
+      if (pred_) batch->FilterSelected(pred_, &scratch_, &meter_);
+      if (!batch->empty()) return true;
+    }
+    return false;
+  }
+  const Status& status() const override { return status_; }
+
+ private:
+  std::vector<Row> rows_;
+  size_t batch_rows_;
+  table::RowPredicateFn pred_;
+  size_t next_ = 0;
+  Row scratch_;
+  table::ScanMeter meter_;
+  Status status_;
+};
+
+/// Two-row batches, so every operator sees several input batches.
+std::unique_ptr<BatchOperator> Source(std::vector<Row> rows) {
+  return std::make_unique<VectorBatchSource>(std::move(rows), 2);
 }
+
+/// Child operator that fails immediately with an error status.
+class FailingSource : public BatchOperator {
+ public:
+  bool Next(table::RowBatch*) override {
+    status_ = Status::Internal("child exploded");
+    return false;
+  }
+  const Status& status() const override { return status_; }
+
+ private:
+  Status status_;
+};
 
 Row R(std::initializer_list<int64_t> values) {
   Row row;
@@ -20,86 +73,121 @@ ValueFn Col(size_t i) {
 }
 
 TEST(OperatorTest, FilterKeepsMatches) {
-  auto plan = std::make_unique<FilterOperator>(
-      MakeRows({R({1}), R({2}), R({3}), R({4})}),
-      [](const Row& row) { return row[0].AsInt64() % 2 == 0; });
-  auto rows = Collect(plan.get());
+  BatchFilterOperator plan(Source({R({1}), R({2}), R({3}), R({4}), R({5})}),
+                           [](const Row& row) { return row[0].AsInt64() % 2 == 0; });
+  auto rows = CollectBatches(&plan);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[0][0].AsInt64(), 2);
+  EXPECT_EQ((*rows)[1][0].AsInt64(), 4);
 }
 
 TEST(OperatorTest, ProjectComputes) {
-  auto plan = std::make_unique<ProjectOperator>(
-      MakeRows({R({3, 4})}),
-      std::vector<ValueFn>{[](const Row& row) {
-        return Value::Int64(row[0].AsInt64() + row[1].AsInt64());
-      }});
-  auto rows = Collect(plan.get());
-  ASSERT_EQ((*rows)[0][0].AsInt64(), 7);
+  BatchProjectOperator plan(Source({R({3, 4})}),
+                            std::vector<ValueFn>{[](const Row& row) {
+                              return Value::Int64(row[0].AsInt64() + row[1].AsInt64());
+                            }},
+                            std::vector<int>{-1});
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0][0].AsInt64(), 7);
 }
 
 TEST(OperatorTest, InnerHashJoinMatchesKeys) {
-  auto probe = MakeRows({R({1, 10}), R({2, 20}), R({3, 30})});
-  auto build = MakeRows({R({2, 200}), R({3, 300}), R({3, 301}), R({9, 900})});
-  auto plan = std::make_unique<HashJoinOperator>(
-      std::move(probe), std::move(build), std::vector<ValueFn>{Col(0)},
-      std::vector<ValueFn>{Col(0)}, 2, HashJoinOperator::Kind::kInner);
-  auto rows = Collect(plan.get());
+  HashJoinOperator plan(Source({R({1, 10}), R({2, 20}), R({3, 30})}),
+                        Source({R({2, 200}), R({3, 300}), R({3, 301}), R({9, 900})}),
+                        std::vector<ValueFn>{Col(0)}, std::vector<ValueFn>{Col(0)}, 2,
+                        HashJoinOperator::Kind::kInner);
+  auto rows = CollectBatches(&plan);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 3u);  // key2 ×1, key3 ×2
   for (const Row& row : *rows) {
     EXPECT_EQ(row.size(), 4u);
     EXPECT_EQ(row[0].AsInt64(), row[2].AsInt64());
   }
+  // Probe order, then build order within a key.
+  EXPECT_EQ((*rows)[1][3].AsInt64(), 300);
+  EXPECT_EQ((*rows)[2][3].AsInt64(), 301);
 }
 
 TEST(OperatorTest, LeftOuterJoinPreservesProbeRows) {
-  auto probe = MakeRows({R({1}), R({2})});
-  auto build = MakeRows({R({2, 200})});
-  auto plan = std::make_unique<HashJoinOperator>(
-      std::move(probe), std::move(build), std::vector<ValueFn>{Col(0)},
-      std::vector<ValueFn>{Col(0)}, 2, HashJoinOperator::Kind::kLeftOuter);
-  auto rows = Collect(plan.get());
+  HashJoinOperator plan(Source({R({1}), R({2})}), Source({R({2, 200})}),
+                        std::vector<ValueFn>{Col(0)}, std::vector<ValueFn>{Col(0)}, 2,
+                        HashJoinOperator::Kind::kLeftOuter);
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
   // Unmatched probe row gets NULL build columns.
   EXPECT_TRUE((*rows)[0][1].is_null());
+  EXPECT_TRUE((*rows)[0][2].is_null());
   EXPECT_EQ((*rows)[1][2].AsInt64(), 200);
 }
 
 TEST(OperatorTest, JoinNullKeysNeverMatch) {
   std::vector<Row> probe_rows = {{Value::Null(), Value::Int64(1)}};
   std::vector<Row> build_rows = {{Value::Null(), Value::Int64(2)}};
-  auto plan = std::make_unique<HashJoinOperator>(
-      MakeRows(probe_rows), MakeRows(build_rows), std::vector<ValueFn>{Col(0)},
-      std::vector<ValueFn>{Col(0)}, 2, HashJoinOperator::Kind::kInner);
-  auto rows = Collect(plan.get());
+  HashJoinOperator plan(Source(probe_rows), Source(build_rows),
+                        std::vector<ValueFn>{Col(0)}, std::vector<ValueFn>{Col(0)}, 2,
+                        HashJoinOperator::Kind::kInner);
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
 
+TEST(OperatorTest, JoinFanOutSpansSeveralOutputBatches) {
+  // One probe row matching more build rows than fit in one batch, behind a
+  // probe selection: every match is emitted once, in build order.
+  const size_t matches = table::kDefaultBatchRows + 10;
+  std::vector<Row> build;
+  for (size_t i = 0; i < matches; ++i) build.push_back(R({7, static_cast<int64_t>(i)}));
+  HashJoinOperator plan(
+      std::make_unique<VectorBatchSource>(
+          std::vector<Row>{R({6, 0}), R({7, 1}), R({7, 2})}, 3,
+          [](const Row& row) { return row[1].AsInt64() != 1; }),
+      std::make_unique<VectorBatchSource>(std::move(build), 100),
+      std::vector<ValueFn>{Col(0)}, std::vector<ValueFn>{Col(0)}, 2,
+      HashJoinOperator::Kind::kInner);
+  table::RowBatch batch;
+  size_t batches = 0;
+  size_t total = 0;
+  while (plan.Next(&batch)) {
+    ++batches;
+    for (size_t i = 0; i < batch.size(); ++i, ++total) {
+      EXPECT_EQ(batch.ValueAt(1, i).AsInt64(), 2);  // the probe row that survived
+      EXPECT_EQ(batch.ValueAt(3, i).AsInt64(), static_cast<int64_t>(total));
+    }
+  }
+  ASSERT_TRUE(plan.status().ok());
+  EXPECT_EQ(total, matches);
+  EXPECT_GE(batches, 2u);
+}
+
 TEST(OperatorTest, AggregateGroupsAndComputes) {
-  auto input = MakeRows({R({1, 10}), R({1, 20}), R({2, 5})});
   std::vector<AggSpec> aggs;
   aggs.push_back(AggSpec{AggKind::kSum, Col(1)});
   aggs.push_back(AggSpec{AggKind::kCountStar, nullptr});
   aggs.push_back(AggSpec{AggKind::kMax, Col(1)});
-  auto plan = std::make_unique<HashAggregateOperator>(
-      std::move(input), std::vector<ValueFn>{Col(0)}, std::move(aggs));
-  auto rows = Collect(plan.get());
+  HashAggregateOperator plan(Source({R({2, 5}), R({1, 10}), R({1, 20})}),
+                             std::vector<ValueFn>{Col(0)}, std::move(aggs));
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
+  // Groups come out in key order.
   EXPECT_EQ((*rows)[0][0].AsInt64(), 1);
   EXPECT_EQ((*rows)[0][1].AsInt64(), 30);
   EXPECT_EQ((*rows)[0][2].AsInt64(), 2);
   EXPECT_EQ((*rows)[0][3].AsInt64(), 20);
+  EXPECT_EQ((*rows)[1][0].AsInt64(), 2);
 }
 
 TEST(OperatorTest, GlobalAggregateOnEmptyInputYieldsOneRow) {
   std::vector<AggSpec> aggs;
   aggs.push_back(AggSpec{AggKind::kCountStar, nullptr});
   aggs.push_back(AggSpec{AggKind::kSum, Col(0)});
-  auto plan = std::make_unique<HashAggregateOperator>(MakeRows({}), std::vector<ValueFn>{},
-                                                      std::move(aggs));
-  auto rows = Collect(plan.get());
+  HashAggregateOperator plan(Source({}), std::vector<ValueFn>{}, std::move(aggs));
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ((*rows)[0][0].AsInt64(), 0);
   EXPECT_TRUE((*rows)[0][1].is_null());  // SUM of nothing is NULL
@@ -110,120 +198,77 @@ TEST(OperatorTest, AggregatesSkipNulls) {
   std::vector<AggSpec> aggs;
   aggs.push_back(AggSpec{AggKind::kAvg, Col(0)});
   aggs.push_back(AggSpec{AggKind::kCount, Col(0)});
-  auto plan = std::make_unique<HashAggregateOperator>(
-      MakeRows(input), std::vector<ValueFn>{}, std::move(aggs));
-  auto rows = Collect(plan.get());
+  HashAggregateOperator plan(Source(input), std::vector<ValueFn>{}, std::move(aggs));
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
   EXPECT_DOUBLE_EQ((*rows)[0][0].AsDouble(), 10.0);
   EXPECT_EQ((*rows)[0][1].AsInt64(), 2);
 }
 
 TEST(OperatorTest, SortAscendingDescending) {
-  auto plan = std::make_unique<SortOperator>(
-      MakeRows({R({3, 1}), R({1, 2}), R({2, 3})}), std::vector<ValueFn>{Col(0)},
-      std::vector<bool>{false});
-  auto rows = Collect(plan.get());
+  SortOperator plan(Source({R({3, 1}), R({1, 2}), R({2, 3})}),
+                    std::vector<ValueFn>{Col(0)}, std::vector<bool>{false});
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 3u);
   EXPECT_EQ((*rows)[0][0].AsInt64(), 3);
   EXPECT_EQ((*rows)[2][0].AsInt64(), 1);
+
+  SortOperator ascending(Source({R({3, 1}), R({1, 2}), R({2, 3})}),
+                         std::vector<ValueFn>{Col(0)}, std::vector<bool>{true});
+  rows = CollectBatches(&ascending);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ((*rows)[0][0].AsInt64(), 1);
+  EXPECT_EQ((*rows)[2][0].AsInt64(), 3);
+}
+
+TEST(OperatorTest, SortIsStable) {
+  SortOperator plan(Source({R({2, 0}), R({1, 1}), R({2, 2}), R({1, 3}), R({2, 4})}),
+                    std::vector<ValueFn>{Col(0)}, std::vector<bool>{true});
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
+  std::vector<int64_t> order;
+  for (const Row& row : *rows) order.push_back(row[1].AsInt64());
+  EXPECT_EQ(order, (std::vector<int64_t>{1, 3, 0, 2, 4}));
 }
 
 TEST(OperatorTest, LimitStopsEarly) {
-  auto plan = std::make_unique<LimitOperator>(
-      MakeRows({R({1}), R({2}), R({3})}), 2);
-  auto rows = Collect(plan.get());
+  BatchLimitOperator plan(Source({R({1}), R({2}), R({3})}), 2);
+  auto rows = CollectBatches(&plan);
+  ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);
 }
 
-/// In-memory RowIterator source for feeding the batch adapters.
-class VectorRowIterator : public table::RowIterator {
- public:
-  explicit VectorRowIterator(std::vector<Row> rows) : rows_(std::move(rows)) {}
-  bool Next() override {
-    if (index_ >= rows_.size()) return false;
-    row_ = rows_[index_++];
-    return true;
-  }
-  const Row& row() const override { return row_; }
-  const Status& status() const override { return status_; }
-
- private:
-  std::vector<Row> rows_;
-  size_t index_ = 0;
-  Row row_;
-  Status status_;
-};
-
-/// Child operator that fails immediately with an error status.
-class FailingOperator : public Operator {
- public:
-  bool Next() override {
-    status_ = Status::Internal("child exploded");
-    return false;
-  }
-  const Row& row() const override { return EmptyRow(); }
-  const Status& status() const override { return status_; }
-
- private:
-  Status status_;
-};
-
-TEST(OperatorSafetyTest, RowBeforeNextIsSafe) {
-  // row() on a never-advanced materializing operator must not index
-  // rows_[-1]; it returns the shared empty row.
-  RowsOperator rows({R({1}), R({2})});
-  EXPECT_TRUE(rows.row().empty());
-
-  SortOperator sort(MakeRows({R({2}), R({1})}), {Col(0)}, {true});
-  EXPECT_TRUE(sort.row().empty());
-}
-
 TEST(OperatorSafetyTest, CollectOnEmptyOperatorsIsSafe) {
-  RowsOperator empty_rows({});
-  EXPECT_TRUE(empty_rows.row().empty());
-  auto rows = Collect(&empty_rows);
+  auto rows = CollectBatches(Source({}).get());
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 
-  SortOperator empty_sort(MakeRows({}), {Col(0)}, {true});
-  auto sorted = Collect(&empty_sort);
+  SortOperator empty_sort(Source({}), {Col(0)}, {true});
+  auto sorted = CollectBatches(&empty_sort);
   ASSERT_TRUE(sorted.ok());
   EXPECT_TRUE(sorted->empty());
+  table::RowBatch batch;
+  EXPECT_FALSE(empty_sort.Next(&batch));  // still exhausted on a second pull
 }
 
 TEST(OperatorSafetyTest, CollectSurfacesChildStatus) {
-  SortOperator sort(std::make_unique<FailingOperator>(), {Col(0)}, {true});
-  auto rows = Collect(&sort);
+  SortOperator sort(std::make_unique<FailingSource>(), {Col(0)}, {true});
+  auto rows = CollectBatches(&sort);
   EXPECT_FALSE(rows.ok());
-  EXPECT_TRUE(sort.row().empty());  // still safe to touch after the error
+  EXPECT_FALSE(sort.status().ok());
+
+  HashJoinOperator join(Source({R({1})}), std::make_unique<FailingSource>(), {Col(0)},
+                        {Col(0)}, 1, HashJoinOperator::Kind::kInner);
+  EXPECT_FALSE(CollectBatches(&join).ok());
 }
-
-/// Batch source that filters like a storage scan with a pushed predicate:
-/// surviving rows stay in place behind a selection vector, and batches with
-/// no survivors are skipped.
-class SelectedBatchSource : public BatchOperator {
- public:
-  SelectedBatchSource(std::vector<Row> rows, size_t batch_rows, PredFn pred)
-      : rows_(std::make_unique<VectorRowIterator>(std::move(rows)), 2, batch_rows),
-        pred_(std::move(pred)) {}
-  bool Next(table::RowBatch* batch) override {
-    while (rows_.Next(batch)) {
-      batch->FilterSelected(pred_, &scratch_);
-      if (!batch->empty()) return true;
-    }
-    return false;
-  }
-  const Status& status() const override { return rows_.status(); }
-
- private:
-  table::RowToBatchAdapter rows_;
-  PredFn pred_;
-  Row scratch_;
-};
 
 TEST(BatchOperatorTest, FilterProjectLimitPipeline) {
   // Filtered batches -> vectorized project/limit -> rows.
   std::vector<Row> input;
   for (int i = 0; i < 20; ++i) input.push_back(R({i, i * 2}));
-  std::unique_ptr<BatchOperator> plan = std::make_unique<SelectedBatchSource>(
+  std::unique_ptr<BatchOperator> plan = std::make_unique<VectorBatchSource>(
       std::move(input), 6, [](const Row& row) { return row[0].AsInt64() % 2 == 0; });
   plan = std::make_unique<BatchProjectOperator>(
       std::move(plan),
@@ -244,10 +289,8 @@ TEST(BatchOperatorTest, FilterProjectLimitPipeline) {
 TEST(BatchOperatorTest, ZeroCopyProjectionForwardsSelection) {
   std::vector<Row> input;
   for (int i = 0; i < 8; ++i) input.push_back(R({i, i * 3}));
-  std::unique_ptr<BatchOperator> plan =
-      std::make_unique<SelectedBatchSource>(std::move(input), 8, [](const Row& row) {
-        return row[0].AsInt64() >= 4;
-      });
+  std::unique_ptr<BatchOperator> plan = std::make_unique<VectorBatchSource>(
+      std::move(input), 8, [](const Row& row) { return row[0].AsInt64() >= 4; });
   // Pure column refs: projection must not copy cells.
   plan = std::make_unique<BatchProjectOperator>(std::move(plan),
                                                 std::vector<ValueFn>{Col(1), Col(0)},

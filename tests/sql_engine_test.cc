@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dualtable/dual_table.h"
+#include "dualtable/record_id.h"
 #include "sql/session.h"
 
 namespace dtl::sql {
@@ -163,13 +164,32 @@ TEST_F(EngineTest, CompactTableStatement) {
 }
 
 TEST_F(EngineTest, CompactIncrementalStatement) {
+  // Ten-row stripes, so one file holds clean and dirty stripes, and a fixed
+  // density threshold.
+  SessionOptions options;
+  options.dual_defaults.writer_options.stripe_rows = 10;
+  options.dual_defaults.incremental_density_override = 0.5;
+  auto session = Session::Create(std::move(options));
+  ASSERT_TRUE(session.ok());
+  session_ = std::move(*session);
   Run("CREATE TABLE t (id BIGINT, v BIGINT) STORED AS dualtable");
   std::string insert = "INSERT INTO t VALUES (0, 0)";
-  for (int i = 1; i < 100; ++i) insert += ", (" + std::to_string(i) + ", 0)";
+  for (int i = 1; i < 120; ++i) insert += ", (" + std::to_string(i) + ", 0)";
   Run(insert);
-  // A small ratio hint keeps the EDIT plan even though 90% of rows change,
-  // so the incremental plan sees a genuinely dense file.
+  // A small ratio hint keeps the EDIT plan even though 75% of rows change,
+  // so the incremental plan sees a genuinely dense file: stripes 0-8 dirty
+  // (stripe 3 fully deleted), stripes 9-11 clean.
   Run("UPDATE t SET v = 7 WHERE id < 90 WITH RATIO 0.01");
+  Run("DELETE FROM t WHERE id >= 30 AND id < 40 WITH RATIO 0.01");
+  // A stray: an attached cell for a row past the file's last stripe.
+  auto* table =
+      dynamic_cast<dual::DualTable*>(session_->catalog()->Lookup("t")->table.get());
+  ASSERT_NE(table, nullptr);
+  ASSERT_EQ(table->master()->files().size(), 1u);
+  const uint64_t file_id = table->master()->files()[0].file_id;
+  ASSERT_TRUE(table->attached()->PutUpdate(dual::MakeRecordId(file_id, 120), 1,
+                                          Value::Int64(5)).ok());
+  table->PublishEditCommit();
 
   // EXPLAIN renders the plan without executing: per-file density vs
   // threshold plus the stray count.
@@ -183,9 +203,16 @@ TEST_F(EngineTest, CompactIncrementalStatement) {
   auto result = Run("COMPACT TABLE t INCREMENTAL");
   EXPECT_NE(result.message.find("incremental compact of t"), std::string::npos)
       << result.message;
+  // IncrementalCompactStats: 9 dirty stripes re-encoded (90 rows before the
+  // deletes), 3 clean stripes copied, 90 row mods + 1 stray folded.
+  EXPECT_NE(result.message.find("rewrote 1/1 files (9 stripes re-encoded, 3 copied, "
+                                "90 rows, 91 mods folded)"),
+            std::string::npos)
+      << result.message;
+  EXPECT_TRUE(table->attached()->Empty());
   auto check = Run("SELECT SUM(v), COUNT(*) FROM t");
-  EXPECT_EQ(check.rows[0][0].AsInt64(), 90 * 7);
-  EXPECT_EQ(check.rows[0][1].AsInt64(), 100);
+  EXPECT_EQ(check.rows[0][0].AsInt64(), 80 * 7);
+  EXPECT_EQ(check.rows[0][1].AsInt64(), 110);
 }
 
 TEST_F(EngineTest, CompactIncrementalRejectsNonDualTables) {

@@ -129,6 +129,12 @@ TEST_F(ExplainAnalyzeTest, GoldenSelectTraceStructure) {
   EXPECT_EQ(RowsOf(lines[scan_at]), 4u);
   EXPECT_EQ(RowsOf(lines[sort_at]), 4u);
   EXPECT_EQ(RowsOf(lines[project_at]), 4u);
+  // Every step is a batch operator, so each counts the batches it emits.
+  for (const size_t at : {scan_at, sort_at}) {
+    const size_t batches = lines[at].find(" batches=");
+    ASSERT_NE(batches, std::string::npos) << lines[at];
+    EXPECT_GE(std::stoull(lines[at].substr(batches + 9)), 1u) << lines[at];
+  }
 
   // The execute span attributed the scan-meter delta of those rows.
   EXPECT_NE(lines[execute_at].find("scan_rows="), std::string::npos);
