@@ -46,10 +46,12 @@ Enforced invariants (see DESIGN.md §7):
                       snapshot machinery itself (master_table, attached_table,
                       snapshot.h) and the non-MVCC baselines are exempt.
   9. one-planner      In src/sql, FindIndexProbe( is called only from
-                      Engine::PlanSelect: the SELECT route is chosen once, by
-                      the planner whose plan execution, EXPLAIN and EXPLAIN
+                      Engine::PlanSelect and a storage's PlanDml( (called
+                      through -> or .) only from Engine::PlanDml: each
+                      statement's route or DML plan is chosen once, by the
+                      planner whose plan execution, EXPLAIN and EXPLAIN
                       ANALYZE all read, so no second caller can re-derive
-                      (and drift from) the index-route decision.
+                      (and drift from) the decision.
  10. batch-currency   In src/sql and src/exec, RowBatch is the only operator
                       currency: nothing names table::RowIterator or the
                       BatchToRowAdapter / RowToBatchAdapter bridges, and
@@ -140,10 +142,15 @@ MASTER_SCAN_RE = re.compile(
     r"NewMorselBatchScanIterator)\s*\(")
 PINNED_ARG_RE = re.compile(r"gen|snapshot", re.I)
 
-# Rule 9: the index-route decision has one caller, the SELECT planner.
+# Rule 9: the index-route decision has one caller, the SELECT planner, and
+# a storage's DML plan choice one caller, the DML planner.
 ONE_PLANNER_DIR = "src/sql/"
-INDEX_PROBE_CALL_RE = re.compile(r"\bFindIndexProbe\s*\(")
-PLANNER_FUNCTION = "PlanSelect"
+ONE_PLANNER_CALLS = (
+    (re.compile(r"\bFindIndexProbe\s*\("), "FindIndexProbe", "PlanSelect",
+     "the SELECT route"),
+    (re.compile(r"(?:->|\.)\s*PlanDml\s*\("), "StorageTable::PlanDml", "PlanDml",
+     "the DML plan"),
+)
 FUNCTION_NAME_RE = re.compile(r"([A-Za-z_][\w:]*)\s*\(")
 
 # Rule 10: the row-at-a-time read surfaces the executor no longer touches.
@@ -458,16 +465,18 @@ def check_file(path: Path, findings):
                                      "pass snapshot->generation so a racing "
                                      "COMPACT cannot tear the scan"))
 
-    # Rule 9: FindIndexProbe is called only from the SELECT planner.
+    # Rule 9: FindIndexProbe is called only from the SELECT planner and a
+    # storage's PlanDml only from the DML planner.
     if rp.startswith(ONE_PLANNER_DIR):
         owners = None
-        for m in INDEX_PROBE_CALL_RE.finditer(text):
-            owners = owners or enclosing_functions(text)
-            owner = owners[m.start()]
-            if owner is not None and owner != PLANNER_FUNCTION:
-                findings.append((rp, text[:m.start()].count("\n") + 1, "one-planner",
-                                 f"FindIndexProbe called from {owner}; only "
-                                 f"{PLANNER_FUNCTION} chooses the SELECT route"))
+        for call_re, callee, planner, decision in ONE_PLANNER_CALLS:
+            for m in call_re.finditer(text):
+                owners = owners or enclosing_functions(text)
+                owner = owners[m.start()]
+                if owner is not None and owner != planner:
+                    findings.append((rp, text[:m.start()].count("\n") + 1, "one-planner",
+                                     f"{callee} called from {owner}; only "
+                                     f"{planner} chooses {decision}"))
 
     # Rule 10: batches are the only operator currency in the executor.
     if rp.startswith(BATCH_CURRENCY_DIRS):

@@ -208,53 +208,34 @@ Status AcidTable::WriteDeltaFile(uint64_t txn, const std::vector<Row>& delta_row
   return Status::OK();
 }
 
-Result<table::DmlResult> AcidTable::Update(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
-  table::DmlResult result;
-  result.plan = kDmlPlan;
-  result.rows_scanned = base_->TotalRows();
-
-  std::vector<Row> delta_rows;
-  {
-    table::ScanSpec scan = filter;  // full rows: deltas store whole records
-    scan.projection.clear();
-    DTL_ASSIGN_OR_RETURN(auto it, Scan(scan));
-    while (it->Next()) {
-      ++result.rows_matched;
-      Row updated = it->row();
-      for (const table::Assignment& a : assignments) updated[a.column] = a.compute(it->row());
-      Row delta;
-      delta.reserve(updated.size() + 2);
-      delta.push_back(Value::Int64(kOpUpdate));
-      delta.push_back(Value::Int64(static_cast<int64_t>(it->record_id())));
-      delta.insert(delta.end(), updated.begin(), updated.end());
-      delta_rows.push_back(std::move(delta));
-    }
-    DTL_RETURN_NOT_OK(it->status());
-  }
-  DTL_RETURN_NOT_OK(WriteDeltaFile(next_txn_++, delta_rows));
-  return result;
+table::DmlPlanChoice AcidTable::PlanDml(table::DmlKind, std::optional<double>) const {
+  return table::DmlPlanChoice::Fixed(kDmlPlan);
 }
 
-Result<table::DmlResult> AcidTable::Delete(const table::ScanSpec& filter) {
+Result<table::DmlResult> AcidTable::ExecuteDml(const table::DmlSpec& spec,
+                                               const table::DmlPlanChoice& choice) {
+  if (choice.plan != kDmlPlan) return table::UnsupportedDmlPlan(name_, choice.plan);
   table::DmlResult result;
   result.plan = kDmlPlan;
   result.rows_scanned = base_->TotalRows();
 
+  // An update delta stores the whole record, so UPDATE scans full rows.
+  const bool update = spec.kind == table::DmlKind::kUpdate;
+  table::ScanSpec scan = spec.LocateSpec();
+  if (update) scan.projection.clear();
   std::vector<Row> delta_rows;
   {
-    table::ScanSpec scan = filter;
-    scan.projection = filter.predicate_columns.empty() ? std::vector<size_t>{0}
-                                                       : filter.predicate_columns;
     DTL_ASSIGN_OR_RETURN(auto it, Scan(scan));
     const size_t width = schema_.num_fields();
     while (it->Next()) {
       ++result.rows_matched;
       Row delta;
       delta.reserve(width + 2);
-      delta.push_back(Value::Int64(kOpDelete));
+      delta.push_back(Value::Int64(update ? kOpUpdate : kOpDelete));
       delta.push_back(Value::Int64(static_cast<int64_t>(it->record_id())));
-      delta.insert(delta.end(), width, Value::Null());
+      Row record = update ? it->row() : Row(width, Value::Null());
+      if (update) DTL_RETURN_NOT_OK(spec.Apply(&record).status());
+      delta.insert(delta.end(), record.begin(), record.end());
       delta_rows.push_back(std::move(delta));
     }
     DTL_RETURN_NOT_OK(it->status());

@@ -40,17 +40,15 @@ class AcidTable : public table::StorageTable {
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 
-  /// The plan of every UPDATE and DELETE here; DmlResult::plan and EXPLAIN
-  /// both read it.
+  /// The plan of every UPDATE and DELETE here.
   static constexpr table::DmlPlan kDmlPlan = table::DmlPlan::kDelta;
-  std::optional<table::DmlPlan> fixed_dml_plan() const override { return kDmlPlan; }
+  table::DmlPlanChoice PlanDml(table::DmlKind kind,
+                               std::optional<double> ratio_hint) const override;
 
-  /// Writes one new delta file holding the full updated records.
-  Result<table::DmlResult> Update(const table::ScanSpec& filter,
-                                  const std::vector<table::Assignment>& assignments) override;
-
-  /// Writes one new delta file holding delete records.
-  Result<table::DmlResult> Delete(const table::ScanSpec& filter) override;
+  /// Writes one new delta file holding the full updated records or the
+  /// delete records.
+  Result<table::DmlResult> ExecuteDml(const table::DmlSpec& spec,
+                                      const table::DmlPlanChoice& choice) override;
 
   Status Drop() override;
 

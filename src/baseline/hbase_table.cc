@@ -131,57 +131,42 @@ Status HBaseTable::OverwriteRows(const std::vector<Row>& rows) {
   return InsertRows(rows);
 }
 
-Result<table::DmlResult> HBaseTable::Update(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
-  table::DmlResult result;
-  result.plan = kDmlPlan;
-  // Phase 1: collect matches (cannot write into a live scan).
-  std::vector<std::pair<uint64_t, Row>> matches;
-  {
-    table::ScanSpec scan = filter;
-    std::vector<size_t> needed = filter.predicate_columns;
-    for (const auto& a : assignments) {
-      needed.insert(needed.end(), a.input_columns.begin(), a.input_columns.end());
-    }
-    if (needed.empty()) needed.push_back(0);
-    scan.projection = needed;
-    DTL_ASSIGN_OR_RETURN(auto it, Scan(scan));
-    while (it->Next()) {
-      ++result.rows_matched;
-      matches.emplace_back(it->record_id(), it->row());
-    }
-    DTL_RETURN_NOT_OK(it->status());
-    result.rows_scanned = result.rows_matched;
-  }
-  // Phase 2: put only the changed cells.
-  for (const auto& [id, row] : matches) {
-    const std::string key = RowKey(id);
-    for (const table::Assignment& a : assignments) {
-      std::string encoded;
-      a.compute(row).EncodeTo(&encoded);
-      DTL_RETURN_NOT_OK(store_->Put(key, static_cast<uint32_t>(a.column), encoded));
-    }
-  }
-  return result;
+table::DmlPlanChoice HBaseTable::PlanDml(table::DmlKind, std::optional<double>) const {
+  return table::DmlPlanChoice::Fixed(kDmlPlan);
 }
 
-Result<table::DmlResult> HBaseTable::Delete(const table::ScanSpec& filter) {
+Result<table::DmlResult> HBaseTable::ExecuteDml(const table::DmlSpec& spec,
+                                                const table::DmlPlanChoice& choice) {
+  if (choice.plan != kDmlPlan) return table::UnsupportedDmlPlan(name_, choice.plan);
   table::DmlResult result;
   result.plan = kDmlPlan;
-  std::vector<uint64_t> matches;
+  // Phase 1: collect the matches and their new values (cannot write into a
+  // live scan, and every SET value is computed before the first write).
+  std::vector<std::pair<uint64_t, std::vector<Value>>> matches;
   {
-    table::ScanSpec scan = filter;
-    scan.projection =
-        filter.predicate_columns.empty() ? std::vector<size_t>{0} : filter.predicate_columns;
-    DTL_ASSIGN_OR_RETURN(auto it, Scan(scan));
+    DTL_ASSIGN_OR_RETURN(auto it, Scan(spec.LocateSpec()));
+    std::vector<Value> values;
     while (it->Next()) {
-      ++result.rows_matched;
-      matches.push_back(it->record_id());
+      DTL_RETURN_NOT_OK(spec.ComputeSet(it->row(), &values));
+      matches.emplace_back(it->record_id(), values);
     }
     DTL_RETURN_NOT_OK(it->status());
   }
-  for (uint64_t id : matches) {
-    DTL_RETURN_NOT_OK(store_->DeleteRow(RowKey(id)));
+  result.rows_matched = matches.size();
+  result.rows_scanned = matches.size();  // the scan filters in the store
+  // Phase 2: put only the changed cells, or tombstone the rows.
+  for (const auto& [id, values] : matches) {
+    const std::string key = RowKey(id);
+    if (spec.kind == table::DmlKind::kDelete) {
+      DTL_RETURN_NOT_OK(store_->DeleteRow(key));
+      continue;
+    }
+    for (size_t a = 0; a < values.size(); ++a) {
+      std::string encoded;
+      values[a].EncodeTo(&encoded);
+      DTL_RETURN_NOT_OK(
+          store_->Put(key, static_cast<uint32_t>(spec.assignments[a].column), encoded));
+    }
   }
   return result;
 }

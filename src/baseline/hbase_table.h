@@ -30,18 +30,16 @@ class HBaseTable : public table::StorageTable {
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 
-  /// The plan of every UPDATE and DELETE here; DmlResult::plan and EXPLAIN
-  /// both read it.
+  /// The plan of every UPDATE and DELETE here.
   static constexpr table::DmlPlan kDmlPlan = table::DmlPlan::kInPlace;
-  std::optional<table::DmlPlan> fixed_dml_plan() const override { return kDmlPlan; }
+  table::DmlPlanChoice PlanDml(table::DmlKind kind,
+                               std::optional<double> ratio_hint) const override;
 
-  /// In-place update: scan, then Put only the changed cells (the EDIT-like
-  /// plan the paper implements for HBase-backed Hive with UDFs).
-  Result<table::DmlResult> Update(const table::ScanSpec& filter,
-                                  const std::vector<table::Assignment>& assignments) override;
-
-  /// In-place delete via row tombstones.
-  Result<table::DmlResult> Delete(const table::ScanSpec& filter) override;
+  /// In-place DML: scan, then Put only the changed cells (the EDIT-like plan
+  /// the paper implements for HBase-backed Hive with UDFs) or write row
+  /// tombstones.
+  Result<table::DmlResult> ExecuteDml(const table::DmlSpec& spec,
+                                      const table::DmlPlanChoice& choice) override;
 
   Status Drop() override;
 

@@ -47,11 +47,21 @@ Status HiveTable::OverwriteRows(const std::vector<Row>& rows) {
   return storage_->ReplaceAllFiles(std::move(out.files()));
 }
 
-Result<uint64_t> HiveTable::Rewrite(const std::function<bool(Row*)>& transform) {
+table::DmlPlanChoice HiveTable::PlanDml(table::DmlKind, std::optional<double>) const {
+  return table::DmlPlanChoice::Fixed(kDmlPlan);
+}
+
+Result<table::DmlResult> HiveTable::ExecuteDml(const table::DmlSpec& spec,
+                                               const table::DmlPlanChoice& choice) {
+  if (choice.plan != kDmlPlan) return table::UnsupportedDmlPlan(name_, choice.plan);
   // INSERT OVERWRITE: read every record and every column, write everything
   // back — cost proportional to total data, not modified data. Like
   // DualTable's statement-internal scans, the read bypasses the stripe cache
-  // and meters into a private meter.
+  // and meters into a private meter. The files are staged until the final
+  // ReplaceAllFiles, so a failing SET value leaves the table unchanged.
+  table::DmlResult result;
+  result.plan = kDmlPlan;
+  result.rows_scanned = storage_->TotalRows();
   table::ScanMeter statement_meter;
   table::ScanSpec all;
   all.meter = &statement_meter;
@@ -65,45 +75,17 @@ Result<uint64_t> HiveTable::Rewrite(const std::function<bool(Row*)>& transform) 
   while (it->Next(&batch)) {
     for (size_t i = 0; i < batch.size(); ++i) {
       batch.MaterializeRow(i, &row);
-      if (transform(&row)) DTL_RETURN_NOT_OK(out.Append(row));
+      bool keep = true;
+      if (!spec.filter.predicate || spec.filter.predicate(row)) {
+        ++result.rows_matched;
+        DTL_ASSIGN_OR_RETURN(keep, spec.Apply(&row));
+      }
+      if (keep) DTL_RETURN_NOT_OK(out.Append(row));
     }
   }
   DTL_RETURN_NOT_OK(it->status());
   DTL_RETURN_NOT_OK(out.Finish());
   DTL_RETURN_NOT_OK(storage_->ReplaceAllFiles(std::move(out.files())));
-  return out.rows();
-}
-
-Result<table::DmlResult> HiveTable::Update(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
-  table::DmlResult result;
-  result.plan = kDmlPlan;
-  result.rows_scanned = storage_->TotalRows();
-  auto transform = [&](Row* row) {
-    if (!filter.predicate || filter.predicate(*row)) {
-      ++result.rows_matched;
-      for (const table::Assignment& a : assignments) (*row)[a.column] = a.compute(*row);
-    }
-    return true;
-  };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, Rewrite(transform));
-  (void)rows;
-  return result;
-}
-
-Result<table::DmlResult> HiveTable::Delete(const table::ScanSpec& filter) {
-  table::DmlResult result;
-  result.plan = kDmlPlan;
-  result.rows_scanned = storage_->TotalRows();
-  auto transform = [&](Row* row) {
-    if (!filter.predicate || filter.predicate(*row)) {
-      ++result.rows_matched;
-      return false;
-    }
-    return true;
-  };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, Rewrite(transform));
-  (void)rows;
   return result;
 }
 

@@ -36,18 +36,16 @@ class HiveTable : public table::StorageTable {
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 
-  /// The plan of every UPDATE and DELETE here; DmlResult::plan and EXPLAIN
-  /// both read it.
+  /// The plan of every UPDATE and DELETE here.
   static constexpr table::DmlPlan kDmlPlan = table::DmlPlan::kOverwrite;
-  std::optional<table::DmlPlan> fixed_dml_plan() const override { return kDmlPlan; }
+  table::DmlPlanChoice PlanDml(table::DmlKind kind,
+                               std::optional<double> ratio_hint) const override;
 
-  /// INSERT OVERWRITE translation of UPDATE: reads every row and every
-  /// column, rewrites the whole table (paper Listing 2).
-  Result<table::DmlResult> Update(const table::ScanSpec& filter,
-                                  const std::vector<table::Assignment>& assignments) override;
-
-  /// INSERT OVERWRITE translation of DELETE: rewrites the surviving rows.
-  Result<table::DmlResult> Delete(const table::ScanSpec& filter) override;
+  /// INSERT OVERWRITE translation of UPDATE and DELETE: reads every row and
+  /// every column and rewrites the whole table, matching rows updated or
+  /// dropped (paper Listing 2).
+  Result<table::DmlResult> ExecuteDml(const table::DmlSpec& spec,
+                                      const table::DmlPlanChoice& choice) override;
 
   Status Drop() override;
 
@@ -56,8 +54,6 @@ class HiveTable : public table::StorageTable {
  private:
   HiveTable(std::string name, Schema schema, HiveTableOptions options)
       : name_(std::move(name)), schema_(std::move(schema)), options_(std::move(options)) {}
-
-  Result<uint64_t> Rewrite(const std::function<bool(Row*)>& transform);
 
   std::string name_;
   Schema schema_;

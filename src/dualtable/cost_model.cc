@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace dtl::dual {
 
-std::string PlanDecision::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%s (overwrite=%.3fs edit=%.3fs diff=%.3fs)",
-                table::DmlPlanName(plan), cost_overwrite_seconds, cost_edit_seconds,
-                cost_difference_seconds);
-  return buf;
-}
-
-PlanDecision CostModel::DecideUpdate(uint64_t table_bytes, double alpha) const {
+table::PlanDecision CostModel::DecideUpdate(uint64_t table_bytes, double alpha) const {
   const double d = static_cast<double>(table_bytes);
   const double k = params_.k;
-  PlanDecision out;
+  table::PlanDecision out;
   out.cost_overwrite_seconds =
       params_.overwrite_cost_scale * (MasterWrite(d) + k * MasterRead(d));
   out.cost_edit_seconds =
@@ -30,13 +20,13 @@ PlanDecision CostModel::DecideUpdate(uint64_t table_bytes, double alpha) const {
   return out;
 }
 
-PlanDecision CostModel::DecideDelete(uint64_t table_bytes, double beta,
+table::PlanDecision CostModel::DecideDelete(uint64_t table_bytes, double beta,
                                      double avg_row_bytes) const {
   const double d_total = static_cast<double>(table_bytes);
   const double k = params_.k;
   const double marker_ratio =
       avg_row_bytes > 0 ? params_.delete_marker_bytes / avg_row_bytes : 1.0;
-  PlanDecision out;
+  table::PlanDecision out;
   // OVERWRITE keeps (1-β) of the data; its following reads also shrink.
   out.cost_overwrite_seconds =
       params_.overwrite_cost_scale *

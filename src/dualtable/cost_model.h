@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "fs/cluster_model.h"
 #include "table/spec.h"
@@ -39,17 +38,6 @@ struct CostModelParams {
   double overwrite_cost_scale = 1.0;
 };
 
-/// Outcome of a plan decision, with both plan costs for logging/ablation.
-struct PlanDecision {
-  table::DmlPlan plan = table::DmlPlan::kEdit;
-  double cost_overwrite_seconds = 0.0;
-  double cost_edit_seconds = 0.0;
-  /// Cost_OVERWRITE − Cost_EDIT (Eq. 1 / Eq. 2); positive ⇒ EDIT chosen.
-  double cost_difference_seconds = 0.0;
-
-  std::string ToString() const;
-};
-
 class CostModel {
  public:
   CostModel(const fs::ClusterModel* cluster, CostModelParams params)
@@ -59,10 +47,10 @@ class CostModel {
   CostModelParams* mutable_params() { return &params_; }
 
   /// Eq. 1. `alpha` is the update ratio in (0, 1).
-  PlanDecision DecideUpdate(uint64_t table_bytes, double alpha) const;
+  table::PlanDecision DecideUpdate(uint64_t table_bytes, double alpha) const;
 
   /// Eq. 2. `beta` is the delete ratio; `avg_row_bytes` is d.
-  PlanDecision DecideDelete(uint64_t table_bytes, double beta,
+  table::PlanDecision DecideDelete(uint64_t table_bytes, double beta,
                             double avg_row_bytes) const;
 
   /// Update ratio at which Eq. 1 changes sign (analytic crossover), used by

@@ -418,81 +418,51 @@ Status DualTable::OverwriteRows(const std::vector<Row>& rows) {
   return PublishRewrite(std::move(out.files()));
 }
 
-table::ScanSpec DualTable::DmlScanSpec(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) const {
-  table::ScanSpec spec = filter;
-  // The DML scan must materialize the predicate columns plus everything the
-  // SET expressions read. Fold those into the projection.
-  std::vector<size_t> needed = filter.predicate_columns;
-  for (const auto& a : assignments) {
-    needed.insert(needed.end(), a.input_columns.begin(), a.input_columns.end());
-  }
-  if (needed.empty()) needed.push_back(0);
-  std::sort(needed.begin(), needed.end());
-  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-  spec.projection = needed;
-  return spec;
-}
-
 double DualTable::AvgRowBytes() const {
   const uint64_t rows = master_->TotalRows();
   if (rows == 0) return 1.0;
   return static_cast<double>(master_->TotalBytes()) / static_cast<double>(rows);
 }
 
-PlanDecision DualTable::PreviewUpdateDecision(double alpha) const {
+table::PlanDecision DualTable::PreviewUpdateDecision(double alpha) const {
   std::lock_guard<std::mutex> lock(cost_model_mu_);
   return cost_model_.DecideUpdate(master_->TotalBytes(), alpha);
 }
 
-PlanDecision DualTable::PreviewDeleteDecision(double beta) const {
-  std::lock_guard<std::mutex> lock(cost_model_mu_);
-  return cost_model_.DecideDelete(master_->TotalBytes(), beta, AvgRowBytes());
-}
-
-const char* RatioSourceName(RatioSource source) {
-  switch (source) {
-    case RatioSource::kHint:
-      return "WITH RATIO hint";
-    case RatioSource::kHistory:
-      return "history";
-    case RatioSource::kDefault:
-      return "default";
-  }
-  return "?";
-}
-
-DmlPlanChoice DualTable::DecideDmlPlan(DmlKind kind,
-                                       std::optional<double> ratio_hint) const {
-  DmlPlanChoice choice;
-  switch (options_.plan_mode) {
-    case DualTableOptions::PlanMode::kForceEdit:
-      choice.plan = table::DmlPlan::kEdit;
-      return choice;
-    case DualTableOptions::PlanMode::kForceOverwrite:
-      choice.plan = table::DmlPlan::kOverwrite;
-      return choice;
-    case DualTableOptions::PlanMode::kCostModel:
-      break;
-  }
-  choice.cost_model = true;
+table::DmlPlanChoice DualTable::PlanDml(table::DmlKind kind,
+                                        std::optional<double> ratio_hint) const {
+  const bool cost_model = options_.plan_mode == DualTableOptions::PlanMode::kCostModel;
+  table::DmlPlanChoice choice;
+  choice.chosen_by =
+      cost_model ? table::PlanChooser::kCostModel : table::PlanChooser::kPlanMode;
+  choice.plan = options_.plan_mode == DualTableOptions::PlanMode::kForceOverwrite
+                    ? table::DmlPlan::kOverwrite
+                    : table::DmlPlan::kEdit;
   if (ratio_hint.has_value()) {
     choice.ratio = std::clamp(*ratio_hint, 0.0, 1.0);
-    choice.ratio_source = RatioSource::kHint;
-  } else {
+    choice.ratio_source = table::RatioSource::kHint;
+  } else if (cost_model) {
     // Recorded ratios lie in [0, 1], so a negative fallback marks "no history".
     auto hist = metadata_->HistoricalModificationRatio(name_, -1.0);
     if (hist.ok() && *hist >= 0) {
       choice.ratio = std::clamp(*hist, 0.0, 1.0);
-      choice.ratio_source = RatioSource::kHistory;
+      choice.ratio_source = table::RatioSource::kHistory;
     } else {
       choice.ratio = options_.default_modification_ratio;
-      choice.ratio_source = RatioSource::kDefault;
+      choice.ratio_source = table::RatioSource::kDefault;
     }
   }
-  choice.decision = kind == DmlKind::kUpdate ? PreviewUpdateDecision(choice.ratio)
-                                             : PreviewDeleteDecision(choice.ratio);
-  choice.plan = choice.decision.plan;
+  const bool update = kind == table::DmlKind::kUpdate;
+  const uint64_t bytes = master_->TotalBytes();
+  const double row_bytes = AvgRowBytes();
+  std::lock_guard<std::mutex> lock(cost_model_mu_);
+  choice.crossover_ratio = update ? cost_model_.UpdateCrossoverRatio(bytes)
+                                  : cost_model_.DeleteCrossoverRatio(bytes, row_bytes);
+  if (cost_model) {
+    choice.decision = update ? cost_model_.DecideUpdate(bytes, choice.ratio)
+                             : cost_model_.DecideDelete(bytes, choice.ratio, row_bytes);
+    choice.plan = choice.decision.plan;
+  }
   return choice;
 }
 
@@ -501,74 +471,76 @@ CostModelParams DualTable::cost_model_params() const {
   return cost_model_.params();
 }
 
-Result<table::DmlResult> DualTable::Update(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
-  return UpdateWithHint(filter, assignments, std::nullopt);
-}
-
-Result<table::DmlResult> DualTable::UpdateWithHint(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments,
-    std::optional<double> ratio_hint) {
+Result<table::DmlResult> DualTable::ExecuteDml(const table::DmlSpec& spec,
+                                               const table::DmlPlanChoice& choice) {
+  if (choice.plan != table::DmlPlan::kEdit && choice.plan != table::DmlPlan::kOverwrite) {
+    return table::UnsupportedDmlPlan(name_, choice.plan);
+  }
+  if (spec.kind == table::DmlKind::kUpdate && spec.assignments.empty()) {
+    return Status::InvalidArgument("UPDATE with no assignments");
+  }
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (assignments.empty()) return Status::InvalidArgument("UPDATE with no assignments");
-  const DmlPlanChoice choice = DecideDmlPlan(DmlKind::kUpdate, ratio_hint);
-  last_plan_ = choice.plan;
-
   const fs::IoSnapshot io_before = fs_->meter()->Snapshot();
   Stopwatch watch;
-  Result<table::DmlResult> result = choice.plan == table::DmlPlan::kEdit
-                                        ? ExecuteEditUpdate(filter, assignments)
-                                        : ExecuteOverwriteUpdate(filter, assignments);
-  if (result.ok()) {
-    RecordDmlObservation("UPDATE", choice, *result, watch.ElapsedSeconds(), io_before);
-  }
-  if (result.ok() && result->rows_scanned > 0) {
+  Result<table::DmlResult> result =
+      choice.plan == table::DmlPlan::kEdit ? ExecuteEdit(spec) : ExecuteOverwrite(spec);
+  DTL_RETURN_NOT_OK(result.status());
+  RecordDmlObservation(spec.kind, choice, *result, watch.ElapsedSeconds(), io_before);
+  if (result->rows_scanned > 0) {
     // Propagate metadata failures: a silently stale modification ratio would
     // skew every later cost-model plan choice (found by the nodiscard sweep).
     DTL_RETURN_NOT_OK(metadata_->RecordModificationRatio(
         name_, static_cast<double>(result->rows_matched) /
                    static_cast<double>(result->rows_scanned)));
   }
-  if (result.ok() && options_.auto_compact && NeedsCompaction()) {
-    DTL_RETURN_NOT_OK(Compact());
-  }
+  if (options_.auto_compact && NeedsCompaction()) DTL_RETURN_NOT_OK(Compact());
   return result;
 }
 
-Result<table::DmlResult> DualTable::ExecuteEditUpdate(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
-  // The paper's UPDATE UDTF: scan the up-to-date view, and for every
-  // matching record put the new field values into the attached table. The
-  // scan reads from a snapshot acquired at statement start, so the
-  // statement's own puts can never feed back into its scan.
+Result<table::DmlResult> DualTable::ExecuteEdit(const table::DmlSpec& spec) {
+  // The paper's UDTFs: scan the up-to-date view and, for every matching
+  // record, put a DELETE marker or the new field values into the attached
+  // table. The scan reads from a snapshot acquired at statement start, so
+  // the statement's own puts can never feed back into its scan.
   SnapshotPtr snapshot = AcquireSnapshot();
   table::DmlResult result;
   result.plan = table::DmlPlan::kEdit;
+  const bool update = spec.kind == table::DmlKind::kUpdate;
   struct PendingUpdate {
     uint64_t record_id;
     uint32_t column;
     Value value;
   };
+  // UPDATE computes every new value before its first put, so a failing SET
+  // expression leaves the table unchanged.
   std::vector<PendingUpdate> pending;
   Row row;
-  auto collect_updates = [&](const table::RowBatch& batch) -> Status {
+  std::vector<Value> values;
+  auto locate = [&](const table::RowBatch& batch) -> Status {
     result.rows_matched += batch.size();  // the predicate ran inside the union read
     for (size_t i = 0; i < batch.size(); ++i) {
+      if (!update) {
+        DTL_RETURN_NOT_OK(attached_->PutDeleteMarker(batch.record_id(i)));
+        continue;
+      }
       batch.MaterializeRow(i, &row);  // SET expressions evaluate over rows
-      for (const table::Assignment& a : assignments) {
+      DTL_RETURN_NOT_OK(spec.ComputeSet(row, &values));
+      for (size_t a = 0; a < values.size(); ++a) {
         pending.push_back(PendingUpdate{batch.record_id(i),
-                                        static_cast<uint32_t>(a.column), a.compute(row)});
+                                        static_cast<uint32_t>(spec.assignments[a].column),
+                                        std::move(values[a])});
       }
     }
     return Status::OK();
   };
-  DTL_RETURN_NOT_OK(ScanInternal(snapshot, DmlScanSpec(filter, assignments), std::nullopt,
-                                 collect_updates));
-  if (index_ != nullptr) {
+  DTL_RETURN_NOT_OK(ScanInternal(snapshot, spec.LocateSpec(), std::nullopt, locate));
+  if (index_ != nullptr && update) {
     // Index entries for the new values go in (and sync) before the attached
     // cells: a crash in between leaves extra entries that lookups verify
     // away, whereas the reverse order could leave a visible update with no
-    // entry — the one hazard the stale-tolerant protocol excludes.
+    // entry — the one hazard the stale-tolerant protocol excludes. Deletes
+    // add no entries: the deleted rows' entries go stale and are dropped at
+    // verify time.
     for (const PendingUpdate& p : pending) {
       if (index_->IndexesColumn(p.column)) {
         DTL_RETURN_NOT_OK(index_->Add(p.column, p.value, p.record_id));
@@ -585,13 +557,14 @@ Result<table::DmlResult> DualTable::ExecuteEditUpdate(
   // Only now do the cells become visible — a snapshot acquired during the
   // statement reads the pre-statement commit timestamp.
   PublishEditCommit();
+  // The index meta row tracks every commit, deletes included, or the next
+  // Open would rebuild the index for nothing.
   DTL_RETURN_NOT_OK(CommitIndexMeta());
   result.rows_scanned = snapshot->generation->TotalRows();
   return result;
 }
 
-Result<uint64_t> DualTable::RewriteMaster(
-    const std::function<bool(uint64_t record_id, Row* row)>& transform) {
+Status DualTable::RewriteMaster(const std::function<Result<bool>(Row* row)>& transform) {
   // Stream the merged view into a staged new master generation. The rewrite
   // folds deltas up to its snapshot's commit timestamp; writers are
   // serialized under mu_, so nothing can commit past it before the publish.
@@ -600,7 +573,8 @@ Result<uint64_t> DualTable::RewriteMaster(
   auto rewrite = [&](const table::RowBatch& batch) -> Status {
     for (size_t i = 0; i < batch.size(); ++i) {
       batch.MaterializeRow(i, &row);
-      if (transform(batch.record_id(i), &row)) DTL_RETURN_NOT_OK(out.Append(row));
+      DTL_ASSIGN_OR_RETURN(bool keep, transform(&row));
+      if (keep) DTL_RETURN_NOT_OK(out.Append(row));
     }
     return Status::OK();
   };
@@ -608,103 +582,26 @@ Result<uint64_t> DualTable::RewriteMaster(
   DTL_RETURN_NOT_OK(
       ScanInternal(AcquireSnapshot(), table::ScanSpec{}, std::nullopt, rewrite));
   DTL_RETURN_NOT_OK(out.Finish());
-  DTL_RETURN_NOT_OK(PublishRewrite(std::move(out.files())));
-  return out.rows();
+  return PublishRewrite(std::move(out.files()));
 }
 
-Result<table::DmlResult> DualTable::ExecuteOverwriteUpdate(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
-  // Hive's INSERT OVERWRITE path: rewrite every row, with matching rows
-  // getting their SET columns replaced; ends with a fresh empty attached
-  // table (paper §III-C).
+Result<table::DmlResult> DualTable::ExecuteOverwrite(const table::DmlSpec& spec) {
+  // Hive's INSERT OVERWRITE path: rewrite every row, matching rows dropped
+  // (DELETE) or with their SET columns replaced (UPDATE); ends with a fresh
+  // empty attached table (paper §III-C).
   table::DmlResult result;
   result.plan = table::DmlPlan::kOverwrite;
   result.rows_scanned = master_->TotalRows();
-  auto transform = [&](uint64_t, Row* row) {
-    if (!filter.predicate || filter.predicate(*row)) {
-      ++result.rows_matched;
-      for (const table::Assignment& a : assignments) (*row)[a.column] = a.compute(*row);
-    }
-    return true;
+  auto transform = [&](Row* row) -> Result<bool> {
+    if (spec.filter.predicate && !spec.filter.predicate(*row)) return true;
+    ++result.rows_matched;
+    return spec.Apply(row);
   };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMaster(transform));
-  (void)rows;
+  DTL_RETURN_NOT_OK(RewriteMaster(transform));
   return result;
 }
 
-Result<table::DmlResult> DualTable::Delete(const table::ScanSpec& filter) {
-  return DeleteWithHint(filter, std::nullopt);
-}
-
-Result<table::DmlResult> DualTable::DeleteWithHint(const table::ScanSpec& filter,
-                                                   std::optional<double> ratio_hint) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  const DmlPlanChoice choice = DecideDmlPlan(DmlKind::kDelete, ratio_hint);
-  last_plan_ = choice.plan;
-
-  const fs::IoSnapshot io_before = fs_->meter()->Snapshot();
-  Stopwatch watch;
-  Result<table::DmlResult> result = choice.plan == table::DmlPlan::kEdit
-                                        ? ExecuteEditDelete(filter)
-                                        : ExecuteOverwriteDelete(filter);
-  if (result.ok()) {
-    RecordDmlObservation("DELETE", choice, *result, watch.ElapsedSeconds(), io_before);
-  }
-  if (result.ok() && result->rows_scanned > 0) {
-    // Propagate metadata failures (see UpdateWithHint).
-    DTL_RETURN_NOT_OK(metadata_->RecordModificationRatio(
-        name_, static_cast<double>(result->rows_matched) /
-                   static_cast<double>(result->rows_scanned)));
-  }
-  if (result.ok() && options_.auto_compact && NeedsCompaction()) {
-    DTL_RETURN_NOT_OK(Compact());
-  }
-  return result;
-}
-
-Result<table::DmlResult> DualTable::ExecuteEditDelete(const table::ScanSpec& filter) {
-  // The paper's DELETE UDTF: put a DELETE marker for each matching record.
-  // Snapshot semantics match ExecuteEditUpdate.
-  SnapshotPtr snapshot = AcquireSnapshot();
-  table::DmlResult result;
-  result.plan = table::DmlPlan::kEdit;
-  auto mark_deleted = [&](const table::RowBatch& batch) -> Status {
-    result.rows_matched += batch.size();  // the predicate ran inside the union read
-    for (size_t i = 0; i < batch.size(); ++i) {
-      DTL_RETURN_NOT_OK(attached_->PutDeleteMarker(batch.record_id(i)));
-    }
-    return Status::OK();
-  };
-  DTL_RETURN_NOT_OK(
-      ScanInternal(snapshot, DmlScanSpec(filter, {}), std::nullopt, mark_deleted));
-  // Same durability contract as ExecuteEditUpdate: sync before the ack.
-  DTL_RETURN_NOT_OK(attached_->Sync());
-  PublishEditCommit();
-  // Deletes add no index entries (the deleted rows' entries become stale and
-  // are dropped at verify time), but the meta row must track the commit or
-  // the next Open would rebuild for nothing.
-  DTL_RETURN_NOT_OK(CommitIndexMeta());
-  result.rows_scanned = snapshot->generation->TotalRows();
-  return result;
-}
-
-Result<table::DmlResult> DualTable::ExecuteOverwriteDelete(const table::ScanSpec& filter) {
-  table::DmlResult result;
-  result.plan = table::DmlPlan::kOverwrite;
-  result.rows_scanned = master_->TotalRows();
-  auto transform = [&](uint64_t, Row* row) {
-    if (!filter.predicate || filter.predicate(*row)) {
-      ++result.rows_matched;
-      return false;  // drop the row
-    }
-    return true;
-  };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMaster(transform));
-  (void)rows;
-  return result;
-}
-
-Result<uint64_t> DualTable::RewriteMasterParallel() {
+Status DualTable::RewriteMasterParallel() {
   // One rewrite job per master file: file f's union-read view (attached scan
   // bounded to f's record-ID range) streams into fresh files. Every job
   // reads from ONE shared snapshot, and jobs only STAGE data — registration
@@ -749,13 +646,10 @@ Result<uint64_t> DualTable::RewriteMasterParallel() {
   }
 
   std::vector<MasterFileInfo> new_files;
-  uint64_t rows_out = 0;
   for (RollingFileWriter& out : outs) {
-    rows_out += out.rows();
     for (MasterFileInfo& info : out.files()) new_files.push_back(std::move(info));
   }
-  DTL_RETURN_NOT_OK(PublishRewrite(std::move(new_files)));
-  return rows_out;
+  return PublishRewrite(std::move(new_files));
 }
 
 Status DualTable::Compact() {
@@ -763,12 +657,9 @@ Status DualTable::Compact() {
   if (attached_->Empty()) return Status::OK();
   Stopwatch watch;
   if (options_.pool != nullptr && master_->files().size() >= 2) {
-    DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMasterParallel());
-    (void)rows;
+    DTL_RETURN_NOT_OK(RewriteMasterParallel());
   } else {
-    auto keep_all = [](uint64_t, Row*) { return true; };
-    DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMaster(keep_all));
-    (void)rows;
+    DTL_RETURN_NOT_OK(RewriteMaster([](Row*) -> Result<bool> { return true; }));
   }
   if (compact_hist_ != nullptr) compact_hist_->ObserveSeconds(watch.ElapsedSeconds());
   return Status::OK();
@@ -1178,21 +1069,23 @@ void DualTable::ReclaimAttachedGarbage() {
                     "stale index meta only costs an Open-time rebuild");
 }
 
-void DualTable::RecordDmlObservation(const char* statement, const DmlPlanChoice& choice,
+void DualTable::RecordDmlObservation(table::DmlKind kind,
+                                     const table::DmlPlanChoice& choice,
                                      const table::DmlResult& result,
                                      double wall_seconds,
                                      const fs::IoSnapshot& io_before) {
   const table::DmlPlan plan = choice.plan;
-  const PlanDecision& decision = choice.decision;
+  const table::PlanDecision& decision = choice.decision;
   obs::Histogram* hist =
       plan == table::DmlPlan::kEdit ? edit_hist_ : overwrite_hist_;
   if (hist != nullptr) hist->ObserveSeconds(wall_seconds);
-  if (!choice.cost_model || options_.cost_audit == nullptr) return;
+  if (choice.chosen_by != table::PlanChooser::kCostModel) return;
+  if (options_.cost_audit == nullptr) return;
   obs::CostAuditRecord record;
   record.table = name_;
-  record.statement = statement;
+  record.statement = kind == table::DmlKind::kUpdate ? "UPDATE" : "DELETE";
   record.ratio = choice.ratio;
-  record.ratio_from_hint = choice.ratio_source == RatioSource::kHint;
+  record.ratio_from_hint = choice.ratio_source == table::RatioSource::kHint;
   record.predicted_edit_seconds = decision.cost_edit_seconds;
   record.predicted_overwrite_seconds = decision.cost_overwrite_seconds;
   record.predicted_plan = table::DmlPlanName(decision.plan);

@@ -95,24 +95,6 @@ struct IncrementalCompactStats {
   std::string ToString() const;
 };
 
-/// The two DML statements the §IV cost model plans.
-enum class DmlKind { kUpdate, kDelete };
-
-/// Where a DML statement's modification ratio came from.
-enum class RatioSource { kHint, kHistory, kDefault };
-const char* RatioSourceName(RatioSource source);
-
-/// The plan one UPDATE/DELETE takes and why: forced by the plan mode, or the
-/// cost model's decision at the resolved ratio. Execution and EXPLAIN both
-/// get it from DualTable::DecideDmlPlan, so EXPLAIN names the plan that runs.
-struct DmlPlanChoice {
-  table::DmlPlan plan = table::DmlPlan::kEdit;
-  bool cost_model = false;  // false: forced by DualTableOptions::plan_mode
-  double ratio = 0;         // resolved ratio; meaningful when cost_model
-  RatioSource ratio_source = RatioSource::kDefault;
-  PlanDecision decision;    // meaningful when cost_model
-};
-
 struct DualTableOptions {
   orc::WriterOptions writer_options;
   kv::KvStoreOptions attached_options;  // dir is derived from the table name
@@ -234,9 +216,16 @@ class DualTable : public table::StorageTable {
   Status InsertRows(const std::vector<Row>& rows) override;
   /// INSERT OVERWRITE TABLE: a fresh master generation + empty attached.
   Status OverwriteRows(const std::vector<Row>& rows) override;
-  Result<table::DmlResult> Update(const table::ScanSpec& filter,
-                                  const std::vector<table::Assignment>& assignments) override;
-  Result<table::DmlResult> Delete(const table::ScanSpec& filter) override;
+  /// The plan mode's forced plan, else the §IV cost model at the hinted
+  /// ratio or the metadata table's ratio history (the configured default
+  /// without one) — the paper's cost evaluator ("directly be given by the
+  /// designer" is the hint).
+  table::DmlPlanChoice PlanDml(table::DmlKind kind,
+                               std::optional<double> ratio_hint) const override;
+  /// EDIT: modification records into the attached table; OVERWRITE: a new
+  /// master generation. Serialized with every other writer.
+  Result<table::DmlResult> ExecuteDml(const table::DmlSpec& spec,
+                                      const table::DmlPlanChoice& choice) override;
   Status Drop() override;
 
   // --- MVCC snapshots ---
@@ -290,15 +279,6 @@ class DualTable : public table::StorageTable {
 
   // --- DualTable-specific operations ---
 
-  /// UPDATE with an explicit modification-ratio hint for the cost model
-  /// ("directly be given by the designer").
-  Result<table::DmlResult> UpdateWithHint(const table::ScanSpec& filter,
-                                          const std::vector<table::Assignment>& assignments,
-                                          std::optional<double> ratio_hint);
-
-  Result<table::DmlResult> DeleteWithHint(const table::ScanSpec& filter,
-                                          std::optional<double> ratio_hint);
-
   /// COMPACT (paper §III-C): UNION READ into a new master generation, then
   /// clear the attached table. Blocks every other writer on this table.
   Status Compact();
@@ -342,15 +322,9 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<table::RowIterator>> ScanAsOf(const table::ScanSpec& spec,
                                                        uint64_t as_of);
 
-  /// Cost-model decision that WOULD be taken for the given parameters
-  /// (exposed for the cost-model ablation bench).
-  PlanDecision PreviewUpdateDecision(double alpha) const;
-  PlanDecision PreviewDeleteDecision(double beta) const;
-
-  /// The plan UpdateWithHint/DeleteWithHint would take right now with this
-  /// hint: the plan mode, else the cost model at the hinted ratio or the
-  /// metadata table's ratio history (the configured default without one).
-  DmlPlanChoice DecideDmlPlan(DmlKind kind, std::optional<double> ratio_hint) const;
+  /// Cost-model UPDATE decision that WOULD be taken at update ratio
+  /// `alpha` (exposed for the cost-model ablation bench).
+  table::PlanDecision PreviewUpdateDecision(double alpha) const;
 
   // --- Secondary index (point-lookup serving tier) ---
 
@@ -377,8 +351,6 @@ class DualTable : public table::StorageTable {
   /// Point-in-time copy of the cost-model coefficients (the calibration loop
   /// mutates them; a copy keeps cross-thread readers race-free).
   CostModelParams cost_model_params() const;
-  /// Plan used by the most recent UPDATE/DELETE.
-  table::DmlPlan last_plan() const { return last_plan_; }
 
  private:
   DualTable(fs::SimFileSystem* fs, MetadataTable* metadata, std::string name,
@@ -481,35 +453,29 @@ class DualTable : public table::StorageTable {
   /// Open-time rebuild.
   Status CommitIndexMeta();
 
-  /// Builds the scan spec a DML statement needs (filter + assignment inputs).
-  table::ScanSpec DmlScanSpec(const table::ScanSpec& filter,
-                              const std::vector<table::Assignment>& assignments) const;
-
-  Result<table::DmlResult> ExecuteEditUpdate(const table::ScanSpec& filter,
-                                             const std::vector<table::Assignment>& assignments);
-  Result<table::DmlResult> ExecuteOverwriteUpdate(
-      const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments);
-  Result<table::DmlResult> ExecuteEditDelete(const table::ScanSpec& filter);
-  Result<table::DmlResult> ExecuteOverwriteDelete(const table::ScanSpec& filter);
+  /// The paper's UPDATE and DELETE UDTFs (the EDIT plan).
+  Result<table::DmlResult> ExecuteEdit(const table::DmlSpec& spec);
+  /// Hive's INSERT OVERWRITE translation (the OVERWRITE plan).
+  Result<table::DmlResult> ExecuteOverwrite(const table::DmlSpec& spec);
 
   /// Streams the union-read view through `transform` into a fresh master
   /// generation; used by OVERWRITE plans and COMPACT. `transform` returns
-  /// false to drop the row and may mutate it in place.
-  Result<uint64_t> RewriteMaster(
-      const std::function<bool(uint64_t record_id, Row* row)>& transform);
+  /// false to drop the row and may mutate it in place; an error abandons
+  /// the rewrite before the publish, leaving the table unchanged.
+  Status RewriteMaster(const std::function<Result<bool>(Row* row)>& transform);
 
   /// COMPACT's parallel rewrite: one job per master file on options_.pool,
   /// each streaming its file's union-read view into fresh files; all new
   /// files land in ONE ReplaceAllFiles call, so the manifest rename stays
   /// the single commit point.
-  Result<uint64_t> RewriteMasterParallel();
+  Status RewriteMasterParallel();
 
   double AvgRowBytes() const;
 
   /// Feeds the duration histograms and (under kCostModel, when a cost_audit
   /// is wired) appends the predicted-vs-measured audit record for one DML
   /// statement.
-  void RecordDmlObservation(const char* statement, const DmlPlanChoice& choice,
+  void RecordDmlObservation(table::DmlKind kind, const table::DmlPlanChoice& choice,
                             const table::DmlResult& result, double wall_seconds,
                             const fs::IoSnapshot& io_before);
   /// Wraps a batch iterator so the UNION READ rows histogram observes the
@@ -573,7 +539,6 @@ class DualTable : public table::StorageTable {
   uint64_t index_commit_ts_ = 0;
   std::shared_ptr<SnapshotTracker> snapshot_tracker_ =
       std::make_shared<SnapshotTracker>();
-  table::DmlPlan last_plan_ = table::DmlPlan::kEdit;
   uint64_t scheduler_job_ = 0;  // background-compaction handle; 0 = none
 };
 

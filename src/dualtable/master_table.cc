@@ -139,7 +139,6 @@ Status RollingFileWriter::Append(const Row& row) {
     DTL_ASSIGN_OR_RETURN(writer_, master_->NewFileWriter());
   }
   DTL_RETURN_NOT_OK(writer_->Append(row));
-  ++rows_;
   return writer_->rows_written() >= rows_per_file_ ? Finish() : Status::OK();
 }
 

@@ -142,14 +142,12 @@ class RollingFileWriter {
 
   /// Files sealed so far (every file once Finish returns OK).
   std::vector<MasterFileInfo>& files() { return files_; }
-  uint64_t rows() const { return rows_; }
 
  private:
   MasterTable* master_;
   uint64_t rows_per_file_;
   std::unique_ptr<MasterFileWriter> writer_;
   std::vector<MasterFileInfo> files_;
-  uint64_t rows_ = 0;
 };
 
 /// How a master scan obtains decoded stripes. User SELECTs read through the

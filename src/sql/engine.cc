@@ -499,19 +499,19 @@ Result<QueryResult> Engine::DispatchStatement(const Statement& stmt) {
   if (const auto* s = std::get_if<InsertStmt>(&stmt)) {
     return spanned(obs::names::kSpanInsert, [&] { return ExecuteInsert(*s); });
   }
-  if (const auto* s = std::get_if<UpdateStmt>(&stmt)) {
-    return spanned(obs::names::kSpanUpdate, [&] { return ExecuteUpdate(*s); });
+  if (std::holds_alternative<UpdateStmt>(stmt)) {
+    return spanned(obs::names::kSpanUpdate, [&] { return ExecuteDml(stmt); });
   }
-  if (const auto* s = std::get_if<DeleteStmt>(&stmt)) {
-    return spanned(obs::names::kSpanDelete, [&] { return ExecuteDelete(*s); });
+  if (std::holds_alternative<DeleteStmt>(stmt)) {
+    return spanned(obs::names::kSpanDelete, [&] { return ExecuteDml(stmt); });
   }
   if (const auto* s = std::get_if<CompactStmt>(&stmt)) {
     return spanned(obs::names::kSpanCompact, [&] { return ExecuteCompact(*s); });
   }
   if (std::get_if<ShowTablesStmt>(&stmt)) return ExecuteShowTables();
   if (const auto* s = std::get_if<ShowStatsStmt>(&stmt)) return ExecuteShowStats(*s);
-  if (const auto* s = std::get_if<MergeStmt>(&stmt)) {
-    return spanned(obs::names::kSpanMerge, [&] { return ExecuteMerge(*s); });
+  if (std::holds_alternative<MergeStmt>(stmt)) {
+    return spanned(obs::names::kSpanMerge, [&] { return ExecuteDml(stmt); });
   }
   if (const auto* s = std::get_if<LoadStmt>(&stmt)) return ExecuteLoad(*s);
   if (const auto* s = std::get_if<ExplainStmt>(&stmt)) return ExecuteExplain(*s);
@@ -1117,18 +1117,6 @@ Result<table::ScanSpec> BindDmlFilter(const Expr* where, const Scope& scope,
   return filter;
 }
 
-/// The statement result of an UPDATE or DELETE: affected rows and the plan
-/// the storage executed.
-Result<QueryResult> DmlOutcome(const char* verb, const Result<table::DmlResult>& dml) {
-  DTL_RETURN_NOT_OK(dml.status());
-  QueryResult result;
-  result.affected_rows = dml->rows_matched;
-  result.dml_plan = table::DmlPlanName(dml->plan);
-  result.message = std::string(verb) + " " + std::to_string(dml->rows_matched) +
-                   " rows via " + result.dml_plan + " plan";
-  return result;
-}
-
 /// Which storage kinds support the requested COMPACT; EXPLAIN COMPACT
 /// returns the same status.
 Status CheckCompactSupported(const CompactStmt& stmt, table::TableKind kind) {
@@ -1142,54 +1130,6 @@ Status CheckCompactSupported(const CompactStmt& stmt, table::TableKind kind) {
 }
 
 }  // namespace
-
-Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
-  DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
-  const Schema& schema = entry.table->schema();
-  Scope scope;
-  scope.AddTable(stmt.alias.empty() ? stmt.table : stmt.alias, schema);
-
-  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
-                       BindDmlFilter(stmt.where.get(), scope, exec_.scan_meter));
-
-  std::vector<table::Assignment> assignments;
-  for (const auto& [column, expr] : stmt.assignments) {
-    auto ordinal = schema.IndexOf(column);
-    if (!ordinal.has_value()) {
-      return Status::NotFound("unknown column in SET: " + column);
-    }
-    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*expr, scope));
-    table::Assignment a;
-    a.column = *ordinal;
-    const DataType type = schema.field(*ordinal).type;
-    const std::string name = schema.field(*ordinal).name;
-    auto fn = bound.fn;
-    a.compute = [fn, type, name](const Row& row) {
-      auto coerced = CoerceValue(fn(row), type, name);
-      return coerced.ok() ? *coerced : Value::Null();
-    };
-    a.input_columns = bound.columns;
-    assignments.push_back(std::move(a));
-  }
-
-  auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-  return DmlOutcome("updated", dual != nullptr
-                                   ? dual->UpdateWithHint(filter, assignments, stmt.ratio_hint)
-                                   : entry.table->Update(filter, assignments));
-}
-
-Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
-  DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
-  Scope scope;
-  scope.AddTable(stmt.table, entry.table->schema());
-
-  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
-                       BindDmlFilter(stmt.where.get(), scope, exec_.scan_meter));
-
-  auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-  return DmlOutcome("deleted", dual != nullptr ? dual->DeleteWithHint(filter, stmt.ratio_hint)
-                                               : entry.table->Delete(filter));
-}
 
 Result<QueryResult> Engine::ExecuteCompact(const CompactStmt& stmt) {
   DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
@@ -1227,79 +1167,141 @@ using KeyedRows = std::unordered_map<Row, Row, exec::RowKeyHash, exec::RowKeyEq>
 
 }  // namespace
 
-Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
-  DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
-  const Schema& schema = entry.table->schema();
+/// An UPDATE, DELETE or MERGE planned once by Engine::PlanDml: the target
+/// table, the bound statement and the storage's plan choice. ExecuteDml runs
+/// `spec` with `choice` and EXPLAIN renders `choice`, so both name one plan.
+struct DmlStatementPlan {
+  table::Catalog::Entry entry;
+  /// The UPDATE or DELETE; for MERGE, the UPDATE of the matched rows.
+  table::DmlSpec spec;
+  table::DmlPlanChoice choice;
+  /// MERGE only: the key ordinals, the source tuples by key, and the keys
+  /// pass 1 finds in the table (`spec`'s filter reads them).
+  std::vector<size_t> merge_keys;
+  std::shared_ptr<KeyedRows> merge_source;
+  std::shared_ptr<KeyedRows> merge_matched;
+};
 
-  // Resolve key ordinals.
-  std::vector<size_t> key_ordinals;
-  for (const std::string& name : stmt.key_columns) {
-    auto ordinal = schema.IndexOf(name);
-    if (!ordinal.has_value()) return Status::NotFound("unknown key column: " + name);
-    key_ordinals.push_back(*ordinal);
+Result<DmlStatementPlan> Engine::PlanDml(const Statement& stmt) {
+  DmlStatementPlan plan;
+  table::DmlSpec& spec = plan.spec;
+  std::optional<double> ratio_hint;
+  if (const auto* update = std::get_if<UpdateStmt>(&stmt)) {
+    DTL_ASSIGN_OR_RETURN(plan.entry, catalog_->Lookup(update->table));
+    const Schema& schema = plan.entry.table->schema();
+    Scope scope;
+    scope.AddTable(update->alias.empty() ? update->table : update->alias, schema);
+    DTL_ASSIGN_OR_RETURN(spec.filter,
+                         BindDmlFilter(update->where.get(), scope, exec_.scan_meter));
+    for (const auto& [column, expr] : update->assignments) {
+      auto ordinal = schema.IndexOf(column);
+      if (!ordinal.has_value()) {
+        return Status::NotFound("unknown column in SET: " + column);
+      }
+      DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*expr, scope));
+      table::Assignment a;
+      a.column = *ordinal;
+      const DataType type = schema.field(*ordinal).type;
+      const std::string name = schema.field(*ordinal).name;
+      auto fn = bound.fn;
+      // The value is stored as INSERT would store it, or the statement fails.
+      a.compute = [fn, type, name](const Row& row) {
+        return CoerceValue(fn(row), type, name);
+      };
+      a.input_columns = bound.columns;
+      spec.assignments.push_back(std::move(a));
+    }
+    ratio_hint = update->ratio_hint;
+  } else if (const auto* del = std::get_if<DeleteStmt>(&stmt)) {
+    DTL_ASSIGN_OR_RETURN(plan.entry, catalog_->Lookup(del->table));
+    Scope scope;
+    scope.AddTable(del->table, plan.entry.table->schema());
+    spec.kind = table::DmlKind::kDelete;
+    DTL_ASSIGN_OR_RETURN(spec.filter,
+                         BindDmlFilter(del->where.get(), scope, exec_.scan_meter));
+    ratio_hint = del->ratio_hint;
+  } else if (const auto* merge = std::get_if<MergeStmt>(&stmt)) {
+    DTL_ASSIGN_OR_RETURN(plan.entry, catalog_->Lookup(merge->table));
+    const Schema& schema = plan.entry.table->schema();
+    std::vector<size_t>& keys = plan.merge_keys;
+    for (const std::string& name : merge->key_columns) {
+      auto ordinal = schema.IndexOf(name);
+      if (!ordinal.has_value()) return Status::NotFound("unknown key column: " + name);
+      keys.push_back(*ordinal);
+    }
+    // Evaluate source tuples and index them by key.
+    auto source = std::make_shared<KeyedRows>();
+    for (const auto& tuple : merge->rows) {
+      DTL_ASSIGN_OR_RETURN(Row values, EvaluateTuple(tuple));
+      DTL_ASSIGN_OR_RETURN(Row row, CoerceRow(values, schema, "MERGE tuple"));
+      (*source)[KeyOf(row, keys)] = std::move(row);
+    }
+    // The matched-row UPDATE: its filter reads the keys pass 1 finds, and
+    // each non-key column takes the source value of its row's key.
+    auto matched = std::make_shared<KeyedRows>();
+    spec.filter.meter = exec_.scan_meter;
+    spec.filter.predicate_columns = keys;
+    spec.filter.predicate = [matched, keys](const Row& row) {
+      return matched->count(KeyOf(row, keys)) > 0;
+    };
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      if (std::find(keys.begin(), keys.end(), c) != keys.end()) continue;
+      table::Assignment a;
+      a.column = c;
+      a.input_columns = keys;
+      a.compute = [source, keys, c](const Row& row) {
+        auto it = source->find(KeyOf(row, keys));
+        return it == source->end() ? Value::Null() : it->second[c];
+      };
+      spec.assignments.push_back(std::move(a));
+    }
+    plan.merge_source = std::move(source);
+    plan.merge_matched = std::move(matched);
+    ratio_hint = merge->ratio_hint;
+  } else {
+    return Status::Internal("not a DML statement");
   }
+  // The plan does not depend on which rows match (MERGE plans before its
+  // probe), so it is chosen before any data is read.
+  plan.choice = plan.entry.table->PlanDml(spec.kind, ratio_hint);
+  return plan;
+}
 
-  // Evaluate source tuples and index them by key.
-  auto source = std::make_shared<KeyedRows>();
-  for (const auto& tuple : stmt.rows) {
-    DTL_ASSIGN_OR_RETURN(Row values, EvaluateTuple(tuple));
-    DTL_ASSIGN_OR_RETURN(Row row, CoerceRow(values, schema, "MERGE tuple"));
-    (*source)[KeyOf(row, key_ordinals)] = std::move(row);
-  }
+namespace {
+
+/// MERGE's passes over its plan: probe which source keys exist, UPDATE
+/// those with the planned choice, INSERT the rest.
+Result<QueryResult> RunMerge(const DmlStatementPlan& plan) {
+  table::StorageTable& storage = *plan.entry.table;
+  const std::vector<size_t>& keys = plan.merge_keys;
+  const std::shared_ptr<KeyedRows>& source = plan.merge_source;
+  KeyedRows& matched = *plan.merge_matched;
 
   // Pass 1: which source keys already exist in the table?
-  auto matched = std::make_shared<KeyedRows>();
-  {
-    table::ScanSpec probe;
-    probe.meter = exec_.scan_meter;
-    probe.projection = key_ordinals;
-    probe.predicate_columns = key_ordinals;
-    auto key_ords = key_ordinals;
-    probe.predicate = [source, key_ords](const Row& row) {
-      return source->count(KeyOf(row, key_ords)) > 0;
-    };
-    DTL_ASSIGN_OR_RETURN(auto it, entry.table->ScanBatches(probe));
-    table::RowBatch batch;
-    while (it->Next(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Row key;
-        key.reserve(key_ordinals.size());
-        for (size_t ord : key_ordinals) key.push_back(batch.ValueAt(ord, i));
-        (*matched)[std::move(key)] = Row{};
-      }
+  table::ScanSpec probe;
+  probe.meter = plan.spec.filter.meter;
+  probe.projection = keys;
+  probe.predicate_columns = keys;
+  probe.predicate = [source, keys](const Row& row) {
+    return source->count(KeyOf(row, keys)) > 0;
+  };
+  DTL_ASSIGN_OR_RETURN(auto it, storage.ScanBatches(probe));
+  table::RowBatch batch;
+  while (it->Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Row key;
+      key.reserve(keys.size());
+      for (size_t ord : keys) key.push_back(batch.ValueAt(ord, i));
+      matched[std::move(key)] = Row{};
     }
-    DTL_RETURN_NOT_OK(it->status());
   }
+  DTL_RETURN_NOT_OK(it->status());
 
   QueryResult result;
   // Pass 2: update matched rows to the source values of their key.
-  if (!matched->empty()) {
-    table::ScanSpec filter;
-    filter.meter = exec_.scan_meter;
-    filter.predicate_columns = key_ordinals;
-    auto key_ords = key_ordinals;
-    filter.predicate = [matched, key_ords](const Row& row) {
-      return matched->count(KeyOf(row, key_ords)) > 0;
-    };
-    std::vector<table::Assignment> assignments;
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      bool is_key = false;
-      for (size_t ord : key_ordinals) is_key |= ord == c;
-      if (is_key) continue;
-      table::Assignment a;
-      a.column = c;
-      a.input_columns = key_ordinals;
-      a.compute = [source, key_ords, c](const Row& row) {
-        auto it = source->find(KeyOf(row, key_ords));
-        return it == source->end() ? Value::Null() : it->second[c];
-      };
-      assignments.push_back(std::move(a));
-    }
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
+  if (!matched.empty()) {
     DTL_ASSIGN_OR_RETURN(table::DmlResult dml,
-                         dual != nullptr
-                             ? dual->UpdateWithHint(filter, assignments, stmt.ratio_hint)
-                             : entry.table->Update(filter, assignments));
+                         storage.ExecuteDml(plan.spec, plan.choice));
     result.affected_rows += dml.rows_matched;
     result.dml_plan = table::DmlPlanName(dml.plan);
   }
@@ -1307,14 +1309,41 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
   // Pass 3: insert the source tuples whose keys did not match.
   std::vector<Row> inserts;
   for (const auto& [key, row] : *source) {
-    if (matched->count(key) == 0) inserts.push_back(row);
+    if (matched.count(key) == 0) inserts.push_back(row);
   }
   if (!inserts.empty()) {
-    DTL_RETURN_NOT_OK(entry.table->InsertRows(inserts));
+    DTL_RETURN_NOT_OK(storage.InsertRows(inserts));
     result.affected_rows += inserts.size();
   }
-  result.message = "merged: " + std::to_string(matched->size()) + " updated, " +
+  result.message = "merged: " + std::to_string(matched.size()) + " updated, " +
                    std::to_string(inserts.size()) + " inserted";
+  return result;
+}
+
+}  // namespace
+
+Result<QueryResult> Engine::ExecuteDml(const Statement& stmt) {
+  // Planning is the `bind` stage; the storage runs the plan inside
+  // `execute(<PLAN>)` — the stage pair a SELECT records.
+  obs::Tracer* tracer = exec_.tracer;
+  Stopwatch bind_watch;
+  DTL_ASSIGN_OR_RETURN(DmlStatementPlan plan, PlanDml(stmt));
+  obs::TraceNode* exec_node = nullptr;
+  if (tracer != nullptr && tracer->active()) {
+    tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
+    exec_node =
+        tracer->AddNode(obs::names::kSpanExecute, table::DmlPlanName(plan.choice.plan));
+  }
+  obs::Span exec_span(tracer, exec_node);
+  if (plan.merge_source != nullptr) return RunMerge(plan);
+  DTL_ASSIGN_OR_RETURN(table::DmlResult dml,
+                       plan.entry.table->ExecuteDml(plan.spec, plan.choice));
+  QueryResult result;
+  result.affected_rows = dml.rows_matched;
+  result.dml_plan = table::DmlPlanName(dml.plan);
+  const char* verb = plan.spec.kind == table::DmlKind::kUpdate ? "updated" : "deleted";
+  result.message = std::string(verb) + " " + std::to_string(dml.rows_matched) +
+                   " rows via " + result.dml_plan + " plan";
   return result;
 }
 
@@ -1343,42 +1372,50 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
   auto emit = [&result](const std::string& line) {
     result.rows.push_back(Row{Value::String(line)});
   };
-  // EXPLAIN names the plan execution takes: a baseline's fixed plan, or the
-  // DualTable decision (DualTable::DecideDmlPlan).
-  auto emit_dml_plan = [&emit](const table::StorageTable& storage, dual::DmlKind kind,
-                               std::optional<double> ratio_hint) {
-    if (const std::optional<table::DmlPlan> fixed = storage.fixed_dml_plan()) {
-      emit(std::string("  plan: ") + table::DmlPlanName(*fixed) + " (" +
-           table::DmlPlanDescription(*fixed) + ")");
-      return;
+  const Statement& inner = *stmt.inner;
+  if (std::holds_alternative<UpdateStmt>(inner) ||
+      std::holds_alternative<DeleteStmt>(inner) ||
+      std::holds_alternative<MergeStmt>(inner)) {
+    // The plan ExecuteDml would run, from the same planner.
+    DTL_ASSIGN_OR_RETURN(DmlStatementPlan plan, PlanDml(inner));
+    const std::string storage =
+        std::string(" (") + table::TableKindName(plan.entry.kind) + ")";
+    const Expr* where = nullptr;
+    if (const auto* update = std::get_if<UpdateStmt>(&inner)) {
+      emit("UPDATE " + update->table + storage);
+      where = update->where.get();
+    } else if (const auto* del = std::get_if<DeleteStmt>(&inner)) {
+      emit("DELETE FROM " + del->table + storage);
+      where = del->where.get();
+    } else {
+      const auto& merge = std::get<MergeStmt>(inner);
+      std::string keys;
+      for (const std::string& key : merge.key_columns) {
+        keys += (keys.empty() ? "" : ", ") + key;
+      }
+      emit("MERGE INTO " + merge.table + storage + " ON (" + keys +
+           "): UPDATE matched rows, INSERT the rest");
     }
-    const dual::DmlPlanChoice choice =
-        static_cast<const dual::DualTable&>(storage).DecideDmlPlan(kind, ratio_hint);
-    emit(std::string("  plan: ") + table::DmlPlanName(choice.plan) +
-         (choice.cost_model ? " (cost model)" : " (forced by plan mode)"));
-    if (!choice.cost_model) return;
-    emit("  ratio: " + std::to_string(choice.ratio) + " (" +
-         dual::RatioSourceName(choice.ratio_source) + ")");
-    emit("  cost model: " + choice.decision.ToString());
-  };
-
-  if (const auto* update = std::get_if<UpdateStmt>(stmt.inner.get())) {
-    DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(update->table));
-    emit("UPDATE " + update->table + " (" + table::TableKindName(entry.kind) + ")");
-    if (update->where) emit("  where: " + update->where->ToString());
-    emit_dml_plan(*entry.table, dual::DmlKind::kUpdate, update->ratio_hint);
-    if (auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get())) {
-      emit("  crossover ratio: " +
-           std::to_string(dual->cost_model().UpdateCrossoverRatio(
-               dual->master()->TotalBytes())));
+    if (where != nullptr) emit("  where: " + where->ToString());
+    const table::DmlPlanChoice& choice = plan.choice;
+    const std::string name = table::DmlPlanName(choice.plan);
+    switch (choice.chosen_by) {
+      case table::PlanChooser::kFixed:
+        emit("  plan: " + name + " (" + table::DmlPlanDescription(choice.plan) + ")");
+        break;
+      case table::PlanChooser::kPlanMode:
+        emit("  plan: " + name + " (forced by plan mode)");
+        break;
+      case table::PlanChooser::kCostModel:
+        emit("  plan: " + name + " (cost model)");
+        emit("  ratio: " + std::to_string(choice.ratio) + " (" +
+             table::RatioSourceName(choice.ratio_source) + ")");
+        emit("  cost model: " + choice.decision.ToString());
+        break;
     }
-    return result;
-  }
-  if (const auto* del = std::get_if<DeleteStmt>(stmt.inner.get())) {
-    DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(del->table));
-    emit("DELETE FROM " + del->table + " (" + table::TableKindName(entry.kind) + ")");
-    if (del->where) emit("  where: " + del->where->ToString());
-    emit_dml_plan(*entry.table, dual::DmlKind::kDelete, del->ratio_hint);
+    if (choice.crossover_ratio.has_value()) {
+      emit("  crossover ratio: " + std::to_string(*choice.crossover_ratio));
+    }
     return result;
   }
   if (const auto* select = std::get_if<SelectStmt>(stmt.inner.get())) {

@@ -1,10 +1,10 @@
 // Statement execution: plans each SELECT once into a SelectPlan (predicate
-// pushdown, stats-bound extraction, route choice, operator steps) that
-// execution, EXPLAIN and EXPLAIN ANALYZE share, and routes DML to the
-// storage tables — DualTable DML carries the WITH RATIO
-// hint into the cost model, mirroring the paper's DualTable parser that
-// "will choose to generate a Hive-compatible statement ... or our UDTFs,
-// based on the cost evaluator".
+// pushdown, stats-bound extraction, route choice, operator steps) and each
+// UPDATE/DELETE/MERGE once into a DmlStatementPlan (bound filter and SET
+// values, the storage's plan choice) that execution, EXPLAIN and EXPLAIN
+// ANALYZE share. The WITH RATIO hint goes into the storage's plan choice,
+// mirroring the paper's DualTable parser that "will choose to generate a
+// Hive-compatible statement ... or our UDTFs, based on the cost evaluator".
 #pragma once
 
 #include <functional>
@@ -30,6 +30,7 @@ class QueryLog;
 namespace dtl::sql {
 
 struct SelectPlan;
+struct DmlStatementPlan;
 
 /// Execution knobs for parallel DualTable scans. Only order-insensitive
 /// plans (single-table global aggregates) run parallel; everything else
@@ -110,12 +111,17 @@ class Engine {
   Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt);
   Result<QueryResult> ExecuteDrop(const DropTableStmt& stmt);
   Result<QueryResult> ExecuteInsert(const InsertStmt& stmt);
-  Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt);
-  Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt);
+  /// Plans an UPDATE, DELETE or MERGE once: binds the target table, the
+  /// WHERE filter and the SET values (MERGE: its source tuples and the
+  /// matched-row UPDATE) and takes the storage's plan choice. The only
+  /// caller of StorageTable::PlanDml; execution and EXPLAIN both read it.
+  Result<DmlStatementPlan> PlanDml(const Statement& stmt);
+  /// PlanDml + the storage's ExecuteDml (MERGE: probe, UPDATE, INSERT), with
+  /// the `bind` and `execute(<PLAN>)` trace stages.
+  Result<QueryResult> ExecuteDml(const Statement& stmt);
   Result<QueryResult> ExecuteCompact(const CompactStmt& stmt);
   Result<QueryResult> ExecuteShowTables();
   Result<QueryResult> ExecuteShowStats(const ShowStatsStmt& stmt);
-  Result<QueryResult> ExecuteMerge(const MergeStmt& stmt);
   Result<QueryResult> ExecuteLoad(const LoadStmt& stmt);
   Result<QueryResult> ExecuteExplain(const ExplainStmt& stmt);
   Result<QueryResult> ExecuteExplainAnalyze(const ExplainStmt& stmt);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "common/status.h"
 
 namespace dtl::table {
 
@@ -49,10 +50,11 @@ struct ScanSpec {
 };
 
 /// One SET clause: assigns `column` the value computed from the current
-/// (full-width) row. Pure function of the row.
+/// (full-width) row. Pure function of the row; fails when the value cannot
+/// be stored in the column (the statement then writes nothing).
 struct Assignment {
   size_t column = 0;
-  std::function<Value(const Row&)> compute;
+  std::function<Result<Value>(const Row&)> compute;
   /// Columns `compute` reads (must be materialized by the DML scan).
   std::vector<size_t> input_columns;
 };
@@ -68,6 +70,67 @@ enum class DmlPlan {
 const char* DmlPlanName(DmlPlan plan);
 /// What the plan does to storage, for EXPLAIN.
 const char* DmlPlanDescription(DmlPlan plan);
+
+/// The two DML statements a storage system plans and runs.
+enum class DmlKind { kUpdate, kDelete };
+
+/// One UPDATE or DELETE, bound against its table.
+struct DmlSpec {
+  DmlKind kind = DmlKind::kUpdate;
+  /// The WHERE clause: predicate, the columns it reads, stats bounds, meter.
+  ScanSpec filter;
+  /// The SET clauses (UPDATE only).
+  std::vector<Assignment> assignments;
+
+  /// The scan that locates the matching rows: `filter` projected onto the
+  /// predicate columns and every SET input (column 0 when both are empty).
+  ScanSpec LocateSpec() const;
+  /// The SET values for one matched full-width row, in assignment order,
+  /// every one computed from the unmodified row.
+  Status ComputeSet(const Row& row, std::vector<Value>* values) const;
+  /// Applies the statement to one matched full-width row in place. False
+  /// for DELETE (drop the row); UPDATE computes every SET value before
+  /// assigning any.
+  Result<bool> Apply(Row* row) const;
+};
+
+/// Where a DML statement's modification ratio came from.
+enum class RatioSource { kHint, kHistory, kDefault };
+const char* RatioSourceName(RatioSource source);
+
+/// Outcome of a cost-model plan decision, with both plan costs.
+struct PlanDecision {
+  DmlPlan plan = DmlPlan::kEdit;
+  double cost_overwrite_seconds = 0.0;
+  double cost_edit_seconds = 0.0;
+  /// Cost_OVERWRITE − Cost_EDIT (Eq. 1 / Eq. 2); positive ⇒ EDIT chosen.
+  double cost_difference_seconds = 0.0;
+
+  std::string ToString() const;
+};
+
+/// What chose a DML plan.
+enum class PlanChooser {
+  kFixed,      // the storage runs every UPDATE and DELETE with one plan
+  kPlanMode,   // forced by the storage's configured plan mode
+  kCostModel,  // the cost model's decision at the resolved ratio
+};
+
+/// The plan one UPDATE or DELETE takes and why, from StorageTable::PlanDml.
+/// Execution runs it and EXPLAIN renders it, so both name the same plan.
+struct DmlPlanChoice {
+  DmlPlan plan = DmlPlan::kEdit;
+  PlanChooser chosen_by = PlanChooser::kFixed;
+  /// The resolved ratio, its source and the decision at it (kCostModel).
+  double ratio = 0;
+  RatioSource ratio_source = RatioSource::kDefault;
+  PlanDecision decision;
+  /// The ratio where the cost model's decision flips, for storages that
+  /// have one; taken in the same critical section as `decision`.
+  std::optional<double> crossover_ratio;
+
+  static DmlPlanChoice Fixed(DmlPlan plan);
+};
 
 /// Outcome of an UPDATE or DELETE.
 struct DmlResult {

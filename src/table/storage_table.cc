@@ -1,6 +1,7 @@
 #include "table/storage_table.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "table/scan_stats.h"
 
@@ -73,6 +74,83 @@ const char* DmlPlanDescription(DmlPlan plan) {
       return "one new ACID delta file";
   }
   return "?";
+}
+
+const char* RatioSourceName(RatioSource source) {
+  switch (source) {
+    case RatioSource::kHint:
+      return "WITH RATIO hint";
+    case RatioSource::kHistory:
+      return "history";
+    case RatioSource::kDefault:
+      return "default";
+  }
+  return "?";
+}
+
+std::string PlanDecision::ToString() const {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s (overwrite=%.3fs edit=%.3fs diff=%.3fs)",
+                DmlPlanName(plan), cost_overwrite_seconds, cost_edit_seconds,
+                cost_difference_seconds);
+  return buf;
+}
+
+DmlPlanChoice DmlPlanChoice::Fixed(DmlPlan plan) {
+  DmlPlanChoice choice;
+  choice.plan = plan;
+  choice.chosen_by = PlanChooser::kFixed;
+  return choice;
+}
+
+ScanSpec DmlSpec::LocateSpec() const {
+  ScanSpec spec = filter;
+  std::vector<size_t> needed = filter.predicate_columns;
+  for (const Assignment& a : assignments) {
+    needed.insert(needed.end(), a.input_columns.begin(), a.input_columns.end());
+  }
+  if (needed.empty()) needed.push_back(0);
+  std::sort(needed.begin(), needed.end());
+  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+  spec.projection = std::move(needed);
+  return spec;
+}
+
+Status DmlSpec::ComputeSet(const Row& row, std::vector<Value>* values) const {
+  values->clear();
+  for (const Assignment& a : assignments) {
+    DTL_ASSIGN_OR_RETURN(Value v, a.compute(row));
+    values->push_back(std::move(v));
+  }
+  return Status::OK();
+}
+
+Result<bool> DmlSpec::Apply(Row* row) const {
+  if (kind == DmlKind::kDelete) return false;
+  std::vector<Value> values;
+  DTL_RETURN_NOT_OK(ComputeSet(*row, &values));
+  for (size_t i = 0; i < assignments.size(); ++i) {
+    (*row)[assignments[i].column] = std::move(values[i]);
+  }
+  return true;
+}
+
+Status UnsupportedDmlPlan(const std::string& table, DmlPlan plan) {
+  return Status::InvalidArgument(table + " cannot run the " + DmlPlanName(plan) +
+                                 " plan");
+}
+
+Result<DmlResult> StorageTable::Update(const ScanSpec& filter,
+                                       const std::vector<Assignment>& assignments,
+                                       std::optional<double> ratio_hint) {
+  DmlSpec spec{DmlKind::kUpdate, filter, assignments};
+  return ExecuteDml(spec, PlanDml(DmlKind::kUpdate, ratio_hint));
+}
+
+Result<DmlResult> StorageTable::Delete(const ScanSpec& filter,
+                                       std::optional<double> ratio_hint) {
+  DmlSpec spec{DmlKind::kDelete, filter, {}};
+  return ExecuteDml(spec, PlanDml(DmlKind::kDelete, ratio_hint));
 }
 
 std::vector<size_t> ScanSpec::RequiredColumns(size_t num_fields) const {

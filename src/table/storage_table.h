@@ -109,17 +109,28 @@ class StorageTable {
   /// Replaces the table's entire contents (INSERT OVERWRITE TABLE).
   virtual Status OverwriteRows(const std::vector<Row>& rows) = 0;
 
-  /// UPDATE <table> SET <assignments> WHERE <predicate>.
-  virtual Result<DmlResult> Update(const ScanSpec& filter,
-                                   const std::vector<Assignment>& assignments) = 0;
+  /// Plans one UPDATE or DELETE: the plan ExecuteDml will run and what
+  /// chose it (the storage's fixed plan, its plan mode or its cost model at
+  /// the hinted or resolved ratio). Takes no writer lock; EXPLAIN renders
+  /// the same choice execution runs.
+  virtual DmlPlanChoice PlanDml(DmlKind kind,
+                                std::optional<double> ratio_hint) const = 0;
 
-  /// DELETE FROM <table> WHERE <predicate>.
-  virtual Result<DmlResult> Delete(const ScanSpec& filter) = 0;
+  /// Runs a planned UPDATE or DELETE. A failing SET value fails the
+  /// statement before the table changes (rewrites stage their files until
+  /// the final publish). InvalidArgument for a plan this storage cannot run.
+  virtual Result<DmlResult> ExecuteDml(const DmlSpec& spec,
+                                       const DmlPlanChoice& choice) = 0;
 
-  /// The plan every UPDATE and DELETE on this table executes with; nullopt
-  /// when the table chooses per statement (DualTable's cost model). EXPLAIN
-  /// names it.
-  virtual std::optional<DmlPlan> fixed_dml_plan() const { return std::nullopt; }
+  /// UPDATE <table> SET <assignments> WHERE <filter>: PlanDml, then
+  /// ExecuteDml. `ratio_hint` is the WITH RATIO hint.
+  Result<DmlResult> Update(const ScanSpec& filter,
+                           const std::vector<Assignment>& assignments,
+                           std::optional<double> ratio_hint = std::nullopt);
+
+  /// DELETE FROM <table> WHERE <filter>: PlanDml, then ExecuteDml.
+  Result<DmlResult> Delete(const ScanSpec& filter,
+                           std::optional<double> ratio_hint = std::nullopt);
 
   /// Total number of live rows (post-merge view).
   virtual Result<uint64_t> CountRows();
@@ -127,6 +138,9 @@ class StorageTable {
   /// Removes all backing storage.
   virtual Status Drop() = 0;
 };
+
+/// The status an executor returns for a DML plan it cannot run.
+Status UnsupportedDmlPlan(const std::string& table, DmlPlan plan);
 
 /// Drains a scan into memory (tests/examples; not for big tables).
 Result<std::vector<Row>> CollectRows(StorageTable* table, const ScanSpec& spec);

@@ -173,7 +173,7 @@ class DifferentialHarness {
     // plan runs, the visible result must be identical.
     std::optional<double> hint;
     if (rng_() % 2 == 0) hint = (rng_() % 100) * 0.01;
-    auto result = table_->UpdateWithHint(IdRange(lo, hi), assigns, hint);
+    auto result = table_->Update(IdRange(lo, hi), assigns, hint);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     uint64_t touched = 0;
@@ -190,7 +190,7 @@ class DifferentialHarness {
     SCOPED_TRACE(Where("delete [" + std::to_string(lo) + "," + std::to_string(hi) + ")"));
     std::optional<double> hint;
     if (rng_() % 2 == 0) hint = (rng_() % 100) * 0.01;
-    auto result = table_->DeleteWithHint(IdRange(lo, hi), hint);
+    auto result = table_->Delete(IdRange(lo, hi), hint);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     uint64_t touched = 0;

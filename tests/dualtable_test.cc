@@ -277,8 +277,8 @@ TEST_F(DualTableTest, CostModelSwitchesPlanWithRatio) {
   ASSERT_TRUE((*t)->InsertRows(rows).ok());
 
   // Tiny ratio: EDIT must win. Huge ratio: OVERWRITE must win.
-  PlanDecision small = (*t)->PreviewUpdateDecision(0.001);
-  PlanDecision big = (*t)->PreviewUpdateDecision(0.99);
+  table::PlanDecision small = (*t)->PreviewUpdateDecision(0.001);
+  table::PlanDecision big = (*t)->PreviewUpdateDecision(0.99);
   EXPECT_EQ(small.plan, table::DmlPlan::kEdit);
   EXPECT_EQ(big.plan, table::DmlPlan::kOverwrite);
 
@@ -315,11 +315,11 @@ TEST_F(DualTableTest, HintDrivesPlanSelection) {
   table::Assignment assign;
   assign.column = 2;
   assign.compute = [](const Row&) { return Value::Double(0); };
-  auto result = (*t)->UpdateWithHint(DayBelow(1), {assign}, 0.001);
+  auto result = (*t)->Update(DayBelow(1), {assign}, 0.001);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->plan, table::DmlPlan::kEdit);
 
-  auto result2 = (*t)->UpdateWithHint(DayBelow(36), {assign}, 0.999);
+  auto result2 = (*t)->Update(DayBelow(36), {assign}, 0.999);
   ASSERT_TRUE(result2.ok());
   EXPECT_EQ(result2->plan, table::DmlPlan::kOverwrite);
 }

@@ -178,7 +178,7 @@ class IndexDifferentialHarness {
     assigns[1].compute = [tag](const Row&) { return Value::String(tag); };
     std::optional<double> hint;
     if (rng_() % 2 == 0) hint = (rng_() % 100) * 0.01;
-    auto result = table_->UpdateWithHint(IdRange(lo, hi), assigns, hint);
+    auto result = table_->Update(IdRange(lo, hi), assigns, hint);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     uint64_t touched = 0;
@@ -195,7 +195,7 @@ class IndexDifferentialHarness {
     SCOPED_TRACE(Where("delete [" + std::to_string(lo) + "," + std::to_string(hi) + ")"));
     std::optional<double> hint;
     if (rng_() % 2 == 0) hint = (rng_() % 100) * 0.01;
-    auto result = table_->DeleteWithHint(IdRange(lo, hi), hint);
+    auto result = table_->Delete(IdRange(lo, hi), hint);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     uint64_t touched = 0;

@@ -139,7 +139,7 @@ TEST_F(Listing2Test, Listing1OnDualTableEqualsListing2OnHive) {
     // LEFT OUTER JOIN.
     return it == sums->end() ? Value::Null() : Value::Int64(it->second);
   };
-  auto updated = dual->UpdateWithHint(filter, {assign}, 1.0 / 3.0);
+  auto updated = dual->Update(filter, {assign}, 1.0 / 3.0);
   ASSERT_TRUE(updated.ok());
   EXPECT_EQ(updated->plan, table::DmlPlan::kEdit);
   EXPECT_EQ(updated->rows_matched, 12u);  // one date of three

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "dualtable/dual_table.h"
 #include "dualtable/record_id.h"
@@ -471,6 +472,158 @@ TEST_F(EngineTest, ExplainDmlNamesThePlanEachStorageKindExecutes) {
       }
       EXPECT_FALSE(named.empty()) << dml;
       EXPECT_EQ(named, Run(dml).dml_plan) << dml;
+    }
+  }
+}
+
+/// The plan EXPLAIN names on its `  plan: <PLAN> (...)` line; empty if none.
+std::string ExplainedDmlPlan(const QueryResult& explain) {
+  for (const Row& row : explain.rows) {
+    const std::string line = row[0].AsString();
+    if (line.rfind("  plan: ", 0) == 0) return line.substr(8, line.find(' ', 8) - 8);
+  }
+  return "";
+}
+
+/// The value after `  <label>: ` on an EXPLAIN line, up to the next space;
+/// empty if no line has the label.
+std::string ExplainedValue(const QueryResult& explain, const std::string& label) {
+  const std::string prefix = "  " + label + ": ";
+  for (const Row& row : explain.rows) {
+    const std::string line = row[0].AsString();
+    if (line.rfind(prefix, 0) == 0) {
+      return line.substr(prefix.size(), line.find(' ', prefix.size()) - prefix.size());
+    }
+  }
+  return "";
+}
+
+TEST_F(EngineTest, UpdateRejectsAValueItsColumnCannotStore) {
+  // Regression: a SET value that failed its column coercion was written as
+  // NULL. UPDATE now stores values as INSERT does: the statement fails with
+  // INSERT's message and leaves the table unchanged, under every plan.
+  for (const std::string kind : {"dualtable", "hive", "hbase", "acid"}) {
+    const std::string table = "c_" + kind;
+    Run("CREATE TABLE " + table + " (id BIGINT, v BIGINT) STORED AS " + kind);
+    Run("INSERT INTO " + table + " VALUES (1, 10), (2, 20)");
+    auto inserted = session_->Execute("INSERT INTO " + table + " VALUES (3, 'abc')");
+    ASSERT_FALSE(inserted.ok());
+    const std::vector<std::string> before = SortedRows(Run("SELECT id, v FROM " + table));
+    std::vector<std::pair<std::string, std::string>> hinted = {{"", ""}};
+    if (kind == "dualtable") {
+      hinted = {{" WITH RATIO 0.01", "EDIT"}, {" WITH RATIO 0.99", "OVERWRITE"}};
+    }
+    for (const auto& [hint, plan] : hinted) {
+      const std::string update = "UPDATE " + table + " SET v = 'abc' WHERE id = 1" + hint;
+      if (!plan.empty()) EXPECT_EQ(ExplainedDmlPlan(Run("EXPLAIN " + update)), plan);
+      auto updated = session_->Execute(update);
+      ASSERT_FALSE(updated.ok()) << update;
+      EXPECT_EQ(updated.status().ToString(), inserted.status().ToString()) << update;
+      EXPECT_EQ(SortedRows(Run("SELECT id, v FROM " + table)), before) << update;
+    }
+  }
+}
+
+TEST(PlanOracleTest, ExplainNamesTheDmlPlanExecutionRuns) {
+  // A DML corpus at ratios around the cost model's crossover, with and
+  // without WITH RATIO, plus MERGE, over a DualTable under each plan mode
+  // and over hive, hbase and acid tables. EXPLAIN must name the plan each
+  // statement then executes; under the cost model the statement's CostAudit
+  // record must carry EXPLAIN's plan, ratio and ratio source. The rows must
+  // not depend on the storage kind or the plan.
+  using PlanMode = dual::DualTableOptions::PlanMode;
+  const std::vector<std::string> corpus = {
+      "UPDATE {t} SET v = v + 1 WHERE id < 3",
+      "UPDATE {t} SET v = v + 1 WHERE id < 3 WITH RATIO {below}",
+      "UPDATE {t} SET tag = 'x' WHERE id >= 30 WITH RATIO {above}",
+      "DELETE FROM {t} WHERE id = 5 WITH RATIO {below}",
+      "DELETE FROM {t} WHERE id >= 50 WITH RATIO {above}",
+      "DELETE FROM {t} WHERE id = 7",
+      "MERGE INTO {t} ON (id) VALUES (1, 'm', 1), (100, 'n', 2) WITH RATIO {above}",
+      "MERGE INTO {t} ON (id) VALUES (2, 'm', 3) WITH RATIO {below}",
+      "UPDATE {t} SET v = 0 WHERE id > 20",
+      // Every SET value is computed from the row before the statement.
+      "UPDATE {t} SET v = id, id = v WHERE id = 8 WITH RATIO {above}",
+  };
+  auto substitute = [](std::string sql, const std::string& key,
+                       const std::string& value) {
+    for (size_t at = sql.find(key); at != std::string::npos; at = sql.find(key)) {
+      sql.replace(at, key.size(), value);
+    }
+    return sql;
+  };
+  auto with_hints = [&substitute](const std::string& sql, double below, double above) {
+    return substitute(substitute(sql, "{below}", std::to_string(below)), "{above}",
+                      std::to_string(above));
+  };
+  for (const PlanMode mode : {PlanMode::kCostModel, PlanMode::kForceEdit,
+                              PlanMode::kForceOverwrite}) {
+    SessionOptions options;
+    options.dual_defaults.plan_mode = mode;
+    auto created = Session::Create(std::move(options));
+    ASSERT_TRUE(created.ok());
+    std::unique_ptr<Session> session = std::move(*created);
+    auto run = [&session](const std::string& sql) {
+      auto result = session->Execute(sql);
+      EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+      return result.ok() ? *result : QueryResult{};
+    };
+    const std::vector<std::string> kinds = {"dualtable", "hive", "hbase", "acid"};
+    std::string rows;
+    for (int i = 0; i < 60; ++i) {
+      rows += (i > 0 ? ", (" : "(") + std::to_string(i) + ", 't" + std::to_string(i % 4) +
+              "', " + std::to_string(i * 10) + ")";
+    }
+    for (const std::string& kind : kinds) {
+      run("CREATE TABLE t_" + kind + " (id BIGINT, tag STRING, v BIGINT) STORED AS " +
+          kind);
+      run("INSERT INTO t_" + kind + " VALUES " + rows);
+    }
+    std::set<std::string> cost_model_plans;
+    for (const std::string& statement : corpus) {
+      // Hints on either side of the DualTable's current crossover.
+      const std::string probe = with_hints(statement, 0.5, 0.5);
+      const double crossover = std::stod(ExplainedValue(
+          run("EXPLAIN " + substitute(probe, "{t}", "t_dualtable")), "crossover ratio"));
+      const std::string hinted =
+          with_hints(statement, crossover * 0.5, std::min(0.999, crossover * 1.5));
+      for (const std::string& kind : kinds) {
+        const std::string sql = substitute(hinted, "{t}", "t_" + kind);
+        SCOPED_TRACE("plan mode " + std::to_string(static_cast<int>(mode)) + ": " + sql);
+        const QueryResult explain = run("EXPLAIN " + sql);
+        const std::string plan = ExplainedDmlPlan(explain);
+        const size_t audited = session->cost_audit()->size();
+        EXPECT_EQ(run(sql).dml_plan, plan);
+        if (kind != "dualtable" || mode != PlanMode::kCostModel) {
+          EXPECT_EQ(session->cost_audit()->size(), audited);
+          continue;
+        }
+        cost_model_plans.insert(plan);
+        const std::vector<obs::CostAuditRecord> records =
+            session->cost_audit()->Records();
+        ASSERT_EQ(records.size(), audited + 1);
+        const obs::CostAuditRecord& record = records.back();
+        EXPECT_EQ(record.executed_plan, plan);
+        EXPECT_EQ(std::to_string(record.ratio), ExplainedValue(explain, "ratio"));
+        bool from_hint = false;
+        for (const Row& row : explain.rows) {
+          from_hint |= row[0].AsString().find("(WITH RATIO hint)") != std::string::npos;
+        }
+        EXPECT_EQ(record.ratio_from_hint, from_hint);
+        EXPECT_EQ(from_hint, sql.find("WITH RATIO") != std::string::npos);
+      }
+    }
+    if (mode == PlanMode::kCostModel) {
+      EXPECT_EQ(cost_model_plans, (std::set<std::string>{"EDIT", "OVERWRITE"}));
+    }
+    std::vector<std::string> reference;
+    for (const std::string& kind : kinds) {
+      const std::vector<std::string> result = SortedRows(run("SELECT * FROM t_" + kind));
+      if (kind == "dualtable") {
+        reference = result;
+      } else {
+        EXPECT_EQ(result, reference) << kind;
+      }
     }
   }
 }

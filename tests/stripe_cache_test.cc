@@ -262,7 +262,7 @@ TEST(StripeCacheStressTest, CachedReadsMatchUncachedUnderConcurrentDmlAndCompact
       assigns[0].compute = [tag](const Row& row) {
         return Value::String(tag + std::to_string(row[0].AsInt64()));
       };
-      if (!t->UpdateWithHint(spec, assigns, 0.01).ok()) failures.fetch_add(1);
+      if (!t->Update(spec, assigns, 0.01).ok()) failures.fetch_add(1);
       if (round % 4 == 3) {
         // Swap the whole generation under the readers.
         if (!t->Compact().ok()) failures.fetch_add(1);

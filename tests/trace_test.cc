@@ -161,6 +161,8 @@ TEST_F(ExplainAnalyzeTest, DmlTraceCarriesPlanAndResult) {
   std::vector<std::string> lines = Lines(result);
   EXPECT_EQ(FindLine(lines, 0, "query"), 0u);
   EXPECT_NE(FindLine(lines, 2, "update"), std::string::npos);
+  // Like a SELECT, the statement records `bind`, then `execute` named by its plan.
+  EXPECT_EQ(FindLine(lines, 4, "execute(EDIT)"), FindLine(lines, 4, "bind") + 1);
   // The inner statement's outcome is propagated alongside the trace.
   EXPECT_EQ(result.affected_rows, 2u);
   EXPECT_FALSE(result.dml_plan.empty());
