@@ -46,12 +46,13 @@ Enforced invariants (see DESIGN.md §7):
                       snapshot machinery itself (master_table, attached_table,
                       snapshot.h) and the non-MVCC baselines are exempt.
   9. one-planner      In src/sql, FindIndexProbe( is called only from
-                      Engine::PlanSelect and a storage's PlanDml( (called
-                      through -> or .) only from Engine::PlanDml: each
-                      statement's route or DML plan is chosen once, by the
-                      planner whose plan execution, EXPLAIN and EXPLAIN
-                      ANALYZE all read, so no second caller can re-derive
-                      (and drift from) the decision.
+                      Engine::PlanSelect, a storage's PlanDml( (called
+                      through -> or .) only from Engine::PlanDml and a
+                      storage's PlanCompact( only from Engine::PlanCompact:
+                      each statement's route, DML plan or compaction is
+                      chosen once, by the planner whose plan execution,
+                      EXPLAIN and EXPLAIN ANALYZE all read, so no second
+                      caller can re-derive (and drift from) the decision.
  10. batch-currency   In src/sql and src/exec, RowBatch is the only operator
                       currency: nothing names table::RowIterator or the
                       BatchToRowAdapter / RowToBatchAdapter bridges, and
@@ -60,6 +61,13 @@ Enforced invariants (see DESIGN.md §7):
                       the QueryResult boundary (exec::CollectBatches);
                       ParallelScanner::CollectRows builds its rows from
                       batches and stays allowed.
+ 11. storage-neutral  src/exec and src/sql (except session.{h,cc}, the table
+                      factory) name no concrete storage: no dynamic_cast, no
+                      static_cast<dual:: / static_cast<baseline::, and no
+                      #include of a dualtable/ or baseline/ header. Every
+                      storage-specific decision sits behind StorageTable
+                      (Pin, ScanBatchesAt, morsels, index lookup, PlanDml,
+                      PlanCompact).
 
 Usage:  scripts/lint.py [paths...]      (defaults to src/ tests/ bench/ examples/)
 Exit status: 0 clean, 1 findings (one line each: path:line: [rule] message).
@@ -150,6 +158,8 @@ ONE_PLANNER_CALLS = (
      "the SELECT route"),
     (re.compile(r"(?:->|\.)\s*PlanDml\s*\("), "StorageTable::PlanDml", "PlanDml",
      "the DML plan"),
+    (re.compile(r"(?:->|\.)\s*PlanCompact\s*\("), "StorageTable::PlanCompact",
+     "PlanCompact", "the compaction"),
 )
 FUNCTION_NAME_RE = re.compile(r"([A-Za-z_][\w:]*)\s*\(")
 
@@ -158,6 +168,13 @@ BATCH_CURRENCY_DIRS = ("src/sql/", "src/exec/")
 ROW_READ_RE = re.compile(
     r"\b(?:table::)?RowIterator\b|\bBatchToRowAdapter\b|\bRowToBatchAdapter\b|"
     r"(?:->|\.)\s*Scan\s*\(|\bScanAt\s*\(")
+
+# Rule 11: the executor reaches storage only through table::StorageTable.
+STORAGE_NEUTRAL_DIRS = ("src/sql/", "src/exec/")
+STORAGE_NEUTRAL_EXEMPT = {"src/sql/session.h", "src/sql/session.cc"}
+CONCRETE_STORAGE_RE = re.compile(
+    r"\bdynamic_cast\b|\bstatic_cast\s*<\s*(?:const\s+)?(?:dtl::)?(?:dual|baseline)::")
+CONCRETE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(?:dualtable|baseline)/')
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -487,6 +504,18 @@ def check_file(path: Path, findings):
                                  f"'{m.group(0).strip()}' reads rows in the executor; "
                                  "pull RowBatches (ScanBatches / ScanBatchesAt) and "
                                  "materialize at CollectBatches"))
+
+    # Rule 11: no concrete storage in the executor. Includes are matched on
+    # the raw line (the stripped text blanks the quoted path).
+    if rp.startswith(STORAGE_NEUTRAL_DIRS) and rp not in STORAGE_NEUTRAL_EXEMPT:
+        raw_lines = raw.splitlines()
+        for i, line in enumerate(lines, 1):
+            m = CONCRETE_STORAGE_RE.search(line)
+            if m or CONCRETE_INCLUDE_RE.match(raw_lines[i - 1]):
+                token = m.group(0) if m else "#include"
+                findings.append((rp, i, "storage-neutral",
+                                 f"'{token}' names concrete storage in the executor; "
+                                 "add a StorageTable virtual instead"))
 
     # Rule 5: no (void)-discarded calls; DTL_IGNORE_STATUS is the audit trail.
     if rp != "src/common/status.h":  # the macro's own definition

@@ -268,8 +268,27 @@ Status AcidTable::MinorCompact() {
   return Status::OK();
 }
 
-Status AcidTable::MajorCompact() {
-  if (delta_files_.empty()) return Status::OK();
+Result<table::CompactPlan> AcidTable::PlanCompact(bool incremental) const {
+  if (incremental) return table::UnsupportedCompact(incremental);
+  table::CompactPlan plan;
+  if (delta_files_.empty()) {
+    plan.reason = "no delta files";
+  } else {
+    plan.action = table::CompactAction::kRewrite;
+    plan.reason = "major compaction: fold " + std::to_string(delta_files_.size()) +
+                  " delta file(s) into a new base";
+  }
+  return plan;
+}
+
+Result<table::CompactResult> AcidTable::ExecuteCompact(const table::CompactPlan& plan,
+                                                       obs::Tracer*) {
+  if (plan.action != table::CompactAction::kRewrite || delta_files_.empty()) {
+    return table::CompactResult{table::CompactAction::kNone, "no delta files"};
+  }
+  table::CompactResult result{table::CompactAction::kRewrite,
+                              "folded " + std::to_string(delta_files_.size()) +
+                                  " delta file(s) into a new base"};
   table::ScanSpec all;
   DTL_ASSIGN_OR_RETURN(auto it, Scan(all));
 
@@ -281,7 +300,7 @@ Status AcidTable::MajorCompact() {
   std::vector<std::string> old = std::move(delta_files_);
   delta_files_.clear();
   for (const std::string& path : old) DTL_RETURN_NOT_OK(fs_->Delete(path));
-  return Status::OK();
+  return result;
 }
 
 uint64_t AcidTable::DeltaBytes() const {

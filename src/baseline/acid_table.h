@@ -50,13 +50,16 @@ class AcidTable : public table::StorageTable {
   Result<table::DmlResult> ExecuteDml(const table::DmlSpec& spec,
                                       const table::DmlPlanChoice& choice) override;
 
+  /// COMPACT is the major compaction; NONE without delta files.
+  Result<table::CompactPlan> PlanCompact(bool incremental) const override;
+  /// Major compaction: folds all deltas into a new base generation.
+  Result<table::CompactResult> ExecuteCompact(const table::CompactPlan& plan,
+                                              obs::Tracer* tracer = nullptr) override;
+
   Status Drop() override;
 
   /// Minor compaction: merges every delta file into a single delta file.
   Status MinorCompact();
-
-  /// Major compaction: folds all deltas into a new base generation.
-  Status MajorCompact();
 
   size_t NumDeltaFiles() const { return delta_files_.size(); }
   uint64_t DeltaBytes() const;

@@ -16,17 +16,8 @@ Result<std::shared_ptr<HiveTable>> HiveTable::Open(fs::SimFileSystem* fs,
   return hive;
 }
 
-Result<std::unique_ptr<table::RowIterator>> HiveTable::Scan(const table::ScanSpec& spec) {
-  // Row consumers ride the batch pipeline too (same as DualTable::Scan), so
-  // the Hive baseline shares the decoded-stripe cache and the hive-vs-dual
-  // read comparison stays apples to apples.
-  DTL_ASSIGN_OR_RETURN(auto it, ScanBatches(spec));
-  return std::unique_ptr<table::RowIterator>(
-      new table::BatchToRowAdapter(std::move(it), spec.meter));
-}
-
-Result<std::unique_ptr<table::BatchIterator>> HiveTable::ScanBatches(
-    const table::ScanSpec& spec) {
+Result<std::unique_ptr<table::BatchIterator>> HiveTable::ScanBatchesAt(
+    const table::PinnedReadPtr&, const table::ScanSpec& spec) {
   DTL_ASSIGN_OR_RETURN(auto it,
                        storage_->NewBatchScanIterator(spec, /*apply_predicate=*/true));
   return std::unique_ptr<table::BatchIterator>(std::move(it));

@@ -30,9 +30,14 @@ class HiveTable : public table::StorageTable {
 
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
-  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
-  Result<std::unique_ptr<table::BatchIterator>> ScanBatches(
-      const table::ScanSpec& spec) override;
+  /// Row consumers ride the batch pipeline too (as on DualTable), so the Hive
+  /// baseline shares the decoded-stripe cache with DualTable's reads.
+  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override {
+    return ScanAt(nullptr, spec);
+  }
+  /// Reads the latest state; Hive has no pinned view.
+  Result<std::unique_ptr<table::BatchIterator>> ScanBatchesAt(
+      const table::PinnedReadPtr& pin, const table::ScanSpec& spec) override;
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 

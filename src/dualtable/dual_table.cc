@@ -14,36 +14,6 @@
 
 namespace dtl::dual {
 
-size_t IncrementalCompactionPlan::selected_files() const {
-  size_t n = 0;
-  for (const FileCompactionPlan& f : files) n += f.selected ? 1 : 0;
-  return n;
-}
-
-uint64_t IncrementalCompactionPlan::total_delta_rows() const {
-  uint64_t n = 0;
-  for (const FileCompactionPlan& f : files) n += f.delta_rows;
-  return n;
-}
-
-std::string IncrementalCompactionPlan::ToString() const {
-  std::ostringstream out;
-  out << "incremental compact plan: threshold=" << threshold << " files="
-      << files.size() << " selected=" << selected_files() << " strays="
-      << stray_record_ids.size();
-  for (const FileCompactionPlan& f : files) {
-    out << "\n  f_" << f.file_id << ": rows=" << f.rows << " deltas="
-        << f.delta_rows << " density=" << f.density()
-        << (f.selected ? " REWRITE" : " keep") << " stripes[";
-    for (size_t s = 0; s < f.stripes.size(); ++s) {
-      if (s > 0) out << " ";
-      out << s << ":" << f.stripes[s].density();
-    }
-    out << "]";
-  }
-  return out.str();
-}
-
 std::string IncrementalCompactStats::ToString() const {
   std::ostringstream out;
   out << "rewrote " << files_selected << "/" << files_total << " files ("
@@ -264,11 +234,30 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForF
   return it;
 }
 
+namespace {
+
+/// The snapshot behind a PinnedReadPtr: every pin a DualTable reads at is one
+/// of its own AcquireSnapshot() results.
+SnapshotPtr AsSnapshot(const table::PinnedReadPtr& pin) {
+  return std::static_pointer_cast<const Snapshot>(pin);
+}
+
+}  // namespace
+
 Result<std::vector<ScanMorsel>> DualTable::PlanScanMorselsAt(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec,
+    const table::PinnedReadPtr& pin, const table::ScanSpec& spec,
     size_t stripes_per_morsel) {
+  const SnapshotPtr snapshot = AsSnapshot(pin);
   return master_->PlanMorsels(snapshot->generation, MasterSpecFor(spec, snapshot),
                               stripes_per_morsel);
+}
+
+Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanMorselAt(
+    const table::PinnedReadPtr& pin, const ScanMorsel& morsel, const table::ScanSpec& spec,
+    table::ScanMeter* meter) {
+  DTL_ASSIGN_OR_RETURN(auto it,
+                       NewUnionReadBatchForMorselAt(AsSnapshot(pin), morsel, spec, meter));
+  return std::unique_ptr<table::BatchIterator>(std::move(it));
 }
 
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForMorselAt(
@@ -333,24 +322,9 @@ std::unique_ptr<table::BatchIterator> DualTable::ObserveUnionReadRows(
       std::move(it), union_read_rows_hist_, union_read_seconds_hist_);
 }
 
-Result<std::unique_ptr<table::RowIterator>> DualTable::Scan(const table::ScanSpec& spec) {
-  return ScanAt(AcquireSnapshot(), spec);
-}
-
-Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAt(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(auto it, ScanBatchesAt(snapshot, spec));
-  return std::unique_ptr<table::RowIterator>(
-      std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
-}
-
-Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatches(
-    const table::ScanSpec& spec) {
-  return ScanBatchesAt(AcquireSnapshot(), spec);
-}
-
 Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatchesAt(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
+    const table::PinnedReadPtr& pin, const table::ScanSpec& spec) {
+  const SnapshotPtr snapshot = pin != nullptr ? AsSnapshot(pin) : AcquireSnapshot();
   DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec, StripeReads::kCached));
   return ObserveUnionReadRows(std::move(it));
 }
@@ -677,27 +651,82 @@ double DualTable::IncrementalDensityThreshold() const {
   return std::clamp(cost_model_.UpdateCrossoverRatio(master_->TotalBytes()), 0.01, 1.0);
 }
 
-Result<IncrementalCompactionPlan> DualTable::PreviewIncrementalCompaction() {
-  return PreviewIncrementalCompactionAt(AcquireSnapshot());
+Result<table::CompactPlan> DualTable::PlanCompact(bool incremental) const {
+  table::CompactPlan plan;
+  if (!incremental) {
+    const bool empty = attached_->Empty();
+    plan.action = empty ? table::CompactAction::kNone : table::CompactAction::kRewrite;
+    plan.reason = empty ? "the attached table is empty"
+                        : "UNION READ into a new master generation, then clear the "
+                          "attached table";
+    return plan;
+  }
+  SnapshotPtr snapshot = AcquireSnapshot();
+  DTL_ASSIGN_OR_RETURN(plan.fold, PreviewIncrementalCompactionAt(snapshot));
+  plan.pin = std::move(snapshot);
+  const size_t selected = plan.fold.selected_files();
+  const size_t strays = plan.fold.stray_record_ids.size();
+  plan.action = selected > 0 || strays > 0 ? table::CompactAction::kIncremental
+                                           : table::CompactAction::kNone;
+  std::ostringstream reason;
+  reason << selected << "/" << plan.fold.files.size() << " files at delta density >= "
+         << plan.fold.threshold << ", " << strays << " stray cell(s)";
+  plan.reason = reason.str();
+  return plan;
 }
 
-Result<IncrementalCompactionPlan> DualTable::PreviewIncrementalCompactionAt(
+Result<table::CompactResult> DualTable::ExecuteCompact(const table::CompactPlan& plan,
+                                                       obs::Tracer* tracer) {
+  table::CompactResult result{table::CompactAction::kNone, plan.reason};
+  if (plan.action == table::CompactAction::kNone) return result;
+  if (plan.action == table::CompactAction::kIncremental) {
+    DTL_ASSIGN_OR_RETURN(IncrementalCompactStats stats, CompactIncremental(tracer, &plan));
+    if (stats.files_selected == 0 && stats.mods_folded == 0) {
+      result.summary = "no file reaches the delta density threshold";
+      return result;
+    }
+    result.action = table::CompactAction::kIncremental;
+    result.summary = stats.ToString();
+    return result;
+  }
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  if (attached_->Empty()) {
+    result.summary = "the attached table is empty";
+    return result;
+  }
+  DTL_RETURN_NOT_OK(Compact());
+  result.action = table::CompactAction::kRewrite;
+  result.summary = "folded the attached table into a new master generation";
+  return result;
+}
+
+bool DualTable::PlanStillHolds(const table::CompactPlan& planned) {
+  if (planned.pin == nullptr) return false;
+  const Snapshot& was = *AsSnapshot(planned.pin);
+  if (planned.fold.threshold != IncrementalDensityThreshold()) return false;
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  const kv::KvSnapshot now = attached_->store()->GetSnapshot();
+  return master_->CurrentGeneration() == was.generation &&
+         std::min(now.read_ts, commit_ts_) == was.attached.read_ts &&
+         now.mem == was.attached.mem && now.tables == was.attached.tables;
+}
+
+Result<table::IncrementalCompactionPlan> DualTable::PreviewIncrementalCompactionAt(
     const SnapshotPtr& snapshot) const {
-  IncrementalCompactionPlan plan;
+  table::IncrementalCompactionPlan plan;
   plan.threshold = IncrementalDensityThreshold();
   const std::vector<MasterFileInfo>& gen_files = snapshot->generation->files();
   plan.files.reserve(gen_files.size());
   for (const MasterFileInfo& info : gen_files) {
     DTL_ASSIGN_OR_RETURN(auto reader,
                          master_->OpenReader(snapshot->generation, info.file_id));
-    FileCompactionPlan f;
+    table::FileCompactionPlan f;
     f.file_id = info.file_id;
     f.rows = info.num_rows;
-    f.bytes = info.bytes;
     f.stripes.reserve(reader->num_stripes());
     for (size_t s = 0; s < reader->num_stripes(); ++s) {
       const orc::StripeInfo& st = reader->stripe(s);
-      f.stripes.push_back(StripeDensity{info.file_id, s, st.first_row, st.num_rows, 0});
+      f.stripes.push_back(table::StripeDensity{st.first_row, st.num_rows, 0});
     }
     plan.files.push_back(std::move(f));
   }
@@ -721,7 +750,7 @@ Result<IncrementalCompactionPlan> DualTable::PreviewIncrementalCompactionAt(
       plan.stray_record_ids.push_back(rid);
       continue;
     }
-    FileCompactionPlan& f = plan.files[fi];
+    table::FileCompactionPlan& f = plan.files[fi];
     while (si < f.stripes.size() && f.stripes[si].first_row + f.stripes[si].rows <= row) {
       ++si;
     }
@@ -734,14 +763,14 @@ Result<IncrementalCompactionPlan> DualTable::PreviewIncrementalCompactionAt(
     }
   }
   DTL_RETURN_NOT_OK(mods->status());
-  for (FileCompactionPlan& f : plan.files) {
+  for (table::FileCompactionPlan& f : plan.files) {
     f.selected = f.rows > 0 && f.delta_rows > 0 && f.density() >= plan.threshold;
   }
   return plan;
 }
 
 Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
-                                         const FileCompactionPlan& file,
+                                         const table::FileCompactionPlan& file,
                                          std::vector<MasterFileInfo>* new_files,
                                          std::vector<uint64_t>* folded,
                                          IncrementalCompactStats* stats) {
@@ -813,14 +842,23 @@ Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
   return Status::OK();
 }
 
-Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* tracer) {
+Result<IncrementalCompactStats> DualTable::CompactIncremental(
+    obs::Tracer* tracer, const table::CompactPlan* planned) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   Stopwatch watch;
-  SnapshotPtr snapshot = AcquireSnapshot();
-  IncrementalCompactionPlan plan;
+  SnapshotPtr snapshot;
+  table::IncrementalCompactionPlan plan;
   {
     obs::Span span(tracer, obs::names::kSpanCompactPlan);
-    DTL_ASSIGN_OR_RETURN(plan, PreviewIncrementalCompactionAt(snapshot));
+    // A DML statement may have landed since `planned` was made outside mu_;
+    // then the files are selected again.
+    if (planned != nullptr && PlanStillHolds(*planned)) {
+      snapshot = AsSnapshot(planned->pin);
+      plan = planned->fold;
+    } else {
+      snapshot = AcquireSnapshot();
+      DTL_ASSIGN_OR_RETURN(plan, PreviewIncrementalCompactionAt(snapshot));
+    }
     span.AddRows(plan.total_delta_rows());
     span.SetDetail(std::to_string(plan.selected_files()) + "/" +
                    std::to_string(plan.files.size()) + " files >= " +
@@ -830,28 +868,16 @@ Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* trace
   stats.files_total = plan.files.size();
   stats.files_selected = plan.selected_files();
   if (stats.files_selected == 0) {
-    if (!plan.stray_record_ids.empty()) {
-      // Nothing to rewrite, but reclaimable garbage exists: drop it without
-      // touching the master generation.
-      std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-      if (plan.total_delta_rows() == 0) {
-        // No live deltas anywhere, so the store holds nothing a reader can
-        // see besides the strays; dropping it wholesale is exact.
-        DTL_RETURN_NOT_OK(attached_->Clear());
-      } else {
-        for (uint64_t rid : plan.stray_record_ids) {
-          DTL_RETURN_NOT_OK(attached_->store()->DeleteRow(RecordIdKey(rid)));
-        }
-        // Tombstones alone would grow the byte debt they exist to reclaim;
-        // the KV merge drops them together with the cells they mask.
-        DTL_RETURN_NOT_OK(attached_->store()->Compact());
-      }
-      commit_ts_ = attached_->LastTimestamp();
-      stats.mods_folded += plan.stray_record_ids.size();
-      // Record the new attached clock so the next Open's freshness check
-      // doesn't mistake this reclamation for a lost commit.
-      DTL_RETURN_NOT_OK(CommitIndexMeta());
-    }
+    if (plan.stray_record_ids.empty()) return stats;
+    // Nothing to rewrite, but reclaimable garbage exists: drop it without
+    // touching the master generation. With no live deltas anywhere the store
+    // holds nothing a reader can see besides the strays.
+    std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
+    DTL_RETURN_NOT_OK(ReclaimAttached(plan.stray_record_ids, plan.total_delta_rows() == 0));
+    stats.mods_folded += plan.stray_record_ids.size();
+    // Record the new attached clock so the next Open's freshness check
+    // doesn't mistake this reclamation for a lost commit.
+    DTL_RETURN_NOT_OK(CommitIndexMeta());
     return stats;
   }
 
@@ -861,7 +887,7 @@ Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* trace
   {
     obs::Span span(tracer, obs::names::kSpanCompactRewrite);
     Status st = Status::OK();
-    for (const FileCompactionPlan& f : plan.files) {
+    for (const table::FileCompactionPlan& f : plan.files) {
       if (!f.selected) continue;
       st = RewriteFileIncremental(snapshot, f, &new_files, &folded, &stats);
       if (!st.ok()) break;
@@ -928,24 +954,9 @@ Status DualTable::PublishIncrementalRewrite(std::vector<MasterFileInfo> full_set
   // reclaims attached cells whose file IDs just died; a crash that loses the
   // reclamation is harmless (UNION READ is master-driven, so cells with no
   // master row never surface) and the next incremental COMPACT re-collects
-  // them as strays.
-  if (fold_complete) {
-    // The fold covered every live modification: the kept files had no deltas
-    // and the rewritten files' deltas are now baked into the master. Drop the
-    // store wholesale, exactly as a full COMPACT would.
-    DTL_RETURN_NOT_OK(attached_->Clear());
-  } else {
-    for (uint64_t rid : folded_record_ids) {
-      DTL_RETURN_NOT_OK(attached_->store()->DeleteRow(RecordIdKey(rid)));
-    }
-    // Physically reclaim the folded cells: tombstones alone would grow the
-    // byte debt NeedsCompaction() watches; the KV merge drops them together
-    // with the cells they mask, leaving only the kept files' live deltas.
-    DTL_RETURN_NOT_OK(attached_->store()->Compact());
-  }
-  // Publish the reclamation to future snapshots. No in-flight EDIT can be
-  // straddling this (mu_ serializes writers), so the store clock is quiescent.
-  commit_ts_ = attached_->LastTimestamp();
+  // them as strays. A complete fold (the kept files had no deltas) drops the
+  // store wholesale, exactly as a full COMPACT would.
+  DTL_RETURN_NOT_OK(ReclaimAttached(folded_record_ids, fold_complete));
   if (index_ != nullptr) {
     index_commit_ts_ = index_->LastTimestamp();
     // Post-commit fold + meta, as in PublishRewrite. snapshot_mu_ is still
@@ -953,6 +964,23 @@ Status DualTable::PublishIncrementalRewrite(std::vector<MasterFileInfo> full_set
     DTL_RETURN_NOT_OK(index_->FoldDeadFiles(dead_files));
     DTL_RETURN_NOT_OK(CommitIndexMeta());
   }
+  return Status::OK();
+}
+
+Status DualTable::ReclaimAttached(const std::vector<uint64_t>& record_ids, bool all) {
+  if (all) {
+    DTL_RETURN_NOT_OK(attached_->Clear());
+  } else {
+    for (uint64_t rid : record_ids) {
+      DTL_RETURN_NOT_OK(attached_->store()->DeleteRow(RecordIdKey(rid)));
+    }
+    // Tombstones alone would grow the byte debt NeedsCompaction() watches;
+    // the KV merge drops them together with the cells they mask.
+    DTL_RETURN_NOT_OK(attached_->store()->Compact());
+  }
+  // No in-flight EDIT can straddle this (mu_ serializes writers), so the
+  // store clock is quiescent.
+  commit_ts_ = attached_->LastTimestamp();
   return Status::OK();
 }
 
@@ -1015,26 +1043,26 @@ void DualTable::BackgroundMaintenance() {
     }
   }
   if (maint_preview_scans_ctr_ != nullptr) maint_preview_scans_ctr_->Inc();
-  Result<IncrementalCompactionPlan> plan = PreviewIncrementalCompaction();
+  Result<table::CompactPlan> plan = PlanCompact(/*incremental=*/true);
   if (!plan.ok()) return;  // transient failure; retried next round
   if (stripe_density_hist_ != nullptr) {
-    for (const FileCompactionPlan& f : plan->files) {
-      for (const StripeDensity& s : f.stripes) {
+    for (const table::FileCompactionPlan& f : plan->fold.files) {
+      for (const table::StripeDensity& s : f.stripes) {
         stripe_density_hist_->Observe(static_cast<uint64_t>(s.density() * 1e6));
       }
     }
   }
-  if (plan->selected_files() > 0 || !plan->stray_record_ids.empty()) {
-    // CompactIncremental re-plans under mu_, so a DML statement landing
-    // between this preview and the lock is still folded correctly.
+  if (plan->action == table::CompactAction::kIncremental) {
+    // CompactIncremental re-plans under mu_ when a DML statement landed
+    // between this plan and the lock, so it still folds correctly.
     if (maint_incremental_ctr_ != nullptr) maint_incremental_ctr_->Inc();
-    Result<IncrementalCompactStats> done = CompactIncremental();
+    Result<IncrementalCompactStats> done = CompactIncremental(nullptr, &*plan);
     DTL_IGNORE_STATUS(done.status(),
                       "background incremental compaction is retried next round");
     return;
   }
   if (!NeedsCompaction()) return;
-  if (plan->total_delta_rows() > 0) {
+  if (plan->fold.total_delta_rows() > 0) {
     // Attached bytes piled up without any single file crossing the density
     // threshold (deltas spread thin): fall back to the full rewrite. The
     // delta-rows guard keeps KV tombstone bloat alone from triggering a
@@ -1055,7 +1083,7 @@ void DualTable::ReclaimAttachedGarbage() {
   // Re-plan under the writer lock: a DML statement may have landed between
   // the caller's lock-free preview and here.
   SnapshotPtr snapshot = AcquireSnapshot();
-  Result<IncrementalCompactionPlan> plan = PreviewIncrementalCompactionAt(snapshot);
+  Result<table::IncrementalCompactionPlan> plan = PreviewIncrementalCompactionAt(snapshot);
   if (!plan.ok()) return;
   if (plan->total_delta_rows() > 0 || !plan->stray_record_ids.empty()) return;
   // The scanner surfaced nothing, so every cell in the store is a tombstone
@@ -1186,12 +1214,17 @@ Status DualTable::IndexStagedFiles(const std::vector<MasterFileInfo>& files) {
   return Status::OK();
 }
 
+bool DualTable::IndexesColumn(size_t column) const {
+  return index_ != nullptr && index_->IndexesColumn(column);
+}
+
 Result<std::vector<std::pair<uint64_t, Row>>> DualTable::IndexLookupAt(
-    const SnapshotPtr& snapshot, size_t column, const std::vector<Value>& probes,
+    const table::PinnedReadPtr& pin, size_t column, const std::vector<Value>& probes,
     const table::ScanSpec& spec) {
-  if (index_ == nullptr || !index_->IndexesColumn(column)) {
+  if (!IndexesColumn(column)) {
     return Status::InvalidArgument("no secondary index on the probed column");
   }
+  const SnapshotPtr snapshot = AsSnapshot(pin);
   if (snapshot == nullptr || !snapshot->has_index) {
     return Status::InvalidArgument("snapshot does not pin the secondary index");
   }

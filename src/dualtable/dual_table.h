@@ -36,53 +36,6 @@ class Tracer;
 
 namespace dtl::dual {
 
-/// Delta density of one master stripe: the fraction of its rows with at
-/// least one attached modification. The incremental-COMPACT planner bins
-/// attached record IDs into stripe row windows to compute these.
-struct StripeDensity {
-  uint64_t file_id = 0;
-  size_t stripe_index = 0;
-  uint64_t first_row = 0;
-  uint64_t rows = 0;
-  uint64_t delta_rows = 0;  // modified records in [first_row, first_row+rows)
-
-  double density() const {
-    return rows == 0 ? 0.0 : static_cast<double>(delta_rows) / static_cast<double>(rows);
-  }
-};
-
-/// One master file's rollup in an incremental-COMPACT plan. The swap unit is
-/// the file (record IDs are immutable, so a stripe cannot move between files
-/// without invalidating its rows' attached keys); stripe densities decide
-/// which stripes inside a selected file are re-encoded vs raw-copied.
-struct FileCompactionPlan {
-  uint64_t file_id = 0;
-  uint64_t rows = 0;
-  uint64_t bytes = 0;
-  uint64_t delta_rows = 0;
-  bool selected = false;  // density() >= the plan threshold
-  std::vector<StripeDensity> stripes;
-
-  double density() const {
-    return rows == 0 ? 0.0 : static_cast<double>(delta_rows) / static_cast<double>(rows);
-  }
-};
-
-/// Read-only incremental-COMPACT plan: what CompactIncremental WOULD rewrite.
-/// EXPLAIN COMPACT INCREMENTAL renders it; the background maintenance job
-/// uses it to pick work; CompactIncremental executes it.
-struct IncrementalCompactionPlan {
-  double threshold = 0.0;  // density at/above which a file is rewritten
-  std::vector<FileCompactionPlan> files;  // ascending file_id
-  /// Attached record IDs whose file is not in the generation (leftovers from
-  /// earlier rewrites); invisible to UNION READ, tombstoned at publish.
-  std::vector<uint64_t> stray_record_ids;
-
-  size_t selected_files() const;
-  uint64_t total_delta_rows() const;
-  std::string ToString() const;  // EXPLAIN rendering, one line per file
-};
-
 /// What one CompactIncremental call actually did.
 struct IncrementalCompactStats {
   size_t files_total = 0;
@@ -210,9 +163,29 @@ class DualTable : public table::StorageTable {
   // --- StorageTable interface ---
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
-  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
-  Result<std::unique_ptr<table::BatchIterator>> ScanBatches(
-      const table::ScanSpec& spec) override;
+  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override {
+    return ScanAt(nullptr, spec);
+  }
+  /// AcquireSnapshot().
+  table::PinnedReadPtr Pin() const override { return AcquireSnapshot(); }
+  /// UNION READ at `pin` (an AcquireSnapshot() of this table; null acquires
+  /// one). Holding one snapshot across several scans gives them one view (a
+  /// SQL statement, a parallel scan's morsels).
+  Result<std::unique_ptr<table::BatchIterator>> ScanBatchesAt(
+      const table::PinnedReadPtr& pin, const table::ScanSpec& spec) override;
+  /// Splits the snapshot's view into stripe-aligned morsels (see
+  /// MasterTable::PlanMorsels), with the same bounds treatment as a serial
+  /// scan, so morsels cover exactly the stripes a serial scan would decode.
+  Result<std::vector<ScanMorsel>> PlanScanMorselsAt(const table::PinnedReadPtr& pin,
+                                                    const table::ScanSpec& spec,
+                                                    size_t stripes_per_morsel) override;
+  /// UNION READ over one morsel: the master stripe range merged with the
+  /// attached modifications in the morsel's record-ID window — the map-side
+  /// InputFormat merge of the paper, one per morsel. Within a morsel,
+  /// batches arrive in record-ID order.
+  Result<std::unique_ptr<table::BatchIterator>> ScanMorselAt(
+      const table::PinnedReadPtr& pin, const ScanMorsel& morsel,
+      const table::ScanSpec& spec, table::ScanMeter* meter) override;
   Status InsertRows(const std::vector<Row>& rows) override;
   /// INSERT OVERWRITE TABLE: a fresh master generation + empty attached.
   Status OverwriteRows(const std::vector<Row>& rows) override;
@@ -226,6 +199,13 @@ class DualTable : public table::StorageTable {
   /// master generation. Serialized with every other writer.
   Result<table::DmlResult> ExecuteDml(const table::DmlSpec& spec,
                                       const table::DmlPlanChoice& choice) override;
+  /// The attached table's emptiness decides a full COMPACT; an incremental
+  /// one plans each file's delta density at a snapshot (the plan's pin).
+  Result<table::CompactPlan> PlanCompact(bool incremental) const override;
+  /// Compact() or CompactIncremental(tracer, &plan) under the writer lock;
+  /// NONE when the attached table turned out to hold nothing to fold.
+  Result<table::CompactResult> ExecuteCompact(const table::CompactPlan& plan,
+                                              obs::Tracer* tracer = nullptr) override;
   Status Drop() override;
 
   // --- MVCC snapshots ---
@@ -238,34 +218,6 @@ class DualTable : public table::StorageTable {
   /// EDIT cells are invisible. Releasing the last SnapshotPtr unpins the
   /// generation and lets deferred file GC run.
   SnapshotPtr AcquireSnapshot() const;
-
-  /// Snapshot-pinned scans: the explicit-snapshot forms of Scan/ScanBatches.
-  /// The snapshot-less overloads above acquire one per call, so every read
-  /// through this table is snapshot-isolated; use these to hold one view
-  /// across several scans (a SQL statement, a parallel scan's morsels).
-  Result<std::unique_ptr<table::RowIterator>> ScanAt(const SnapshotPtr& snapshot,
-                                                     const table::ScanSpec& spec);
-  Result<std::unique_ptr<table::BatchIterator>> ScanBatchesAt(const SnapshotPtr& snapshot,
-                                                              const table::ScanSpec& spec);
-
-  /// Splits the snapshot's view into stripe-aligned morsels for a parallel
-  /// scan (see MasterTable::PlanMorsels), with the same bounds treatment as
-  /// a serial scan, so morsels cover exactly the stripes a serial scan would
-  /// decode. Pair with NewUnionReadBatchForMorselAt on the SAME snapshot so
-  /// planned morsels and per-morsel scans agree on the file set.
-  Result<std::vector<ScanMorsel>> PlanScanMorselsAt(const SnapshotPtr& snapshot,
-                                                    const table::ScanSpec& spec,
-                                                    size_t stripes_per_morsel);
-  /// UNION READ over one morsel: the master stripe range merged with the
-  /// attached modifications in the morsel's record-ID window — the map-side
-  /// InputFormat merge of the paper, one per morsel. `meter` (worker-local;
-  /// may be null for the global meter) receives the morsel's scan counts.
-  /// Order-insensitive consumers may run many of these concurrently; within
-  /// a morsel, batches arrive in record-ID order. Incremental COMPACT reads
-  /// its one-stripe morsels kUncached, like every statement-internal scan.
-  Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorselAt(
-      const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
-      table::ScanMeter* meter, StripeReads reads = StripeReads::kCached);
 
   /// Tracker behind the snapshot.* metric views.
   const SnapshotTracker* snapshot_tracker() const { return snapshot_tracker_.get(); }
@@ -291,12 +243,11 @@ class DualTable : public table::StorageTable {
   /// their attached deltas are untouched, so read-after-update latency stays
   /// flat instead of saw-toothing on full rewrites. `tracer` (optional)
   /// receives compact-plan / compact-rewrite spans for EXPLAIN ANALYZE.
-  Result<IncrementalCompactStats> CompactIncremental(obs::Tracer* tracer = nullptr);
-
-  /// Plan-only view of what CompactIncremental would do right now: per-file
-  /// and per-stripe delta densities plus the selection threshold. Makes no
-  /// writes; safe from any thread.
-  Result<IncrementalCompactionPlan> PreviewIncrementalCompaction();
+  /// `planned` (a PlanCompact(true) result) is reused when the table still
+  /// shows its snapshot; otherwise, or without one, the files are planned
+  /// under the writer lock.
+  Result<IncrementalCompactStats> CompactIncremental(
+      obs::Tracer* tracer = nullptr, const table::CompactPlan* planned = nullptr);
 
   /// The density at/above which a file is rewritten: the explicit override
   /// when set, else the calibrated cost model's update crossover ratio for
@@ -328,6 +279,9 @@ class DualTable : public table::StorageTable {
 
   // --- Secondary index (point-lookup serving tier) ---
 
+  /// True for the columns in options.indexed_columns.
+  bool IndexesColumn(size_t column) const override;
+
   /// Index-driven point lookup: resolves candidate record IDs for the probe
   /// values through the pinned index snapshot, fetches exactly the stripes
   /// holding them (through the shared stripe cache), patches attached
@@ -337,10 +291,10 @@ class DualTable : public table::StorageTable {
   /// order and content a full UNION READ scan with `WHERE col IN (probes)`
   /// under the same snapshot would produce. Rows are projected per
   /// spec.projection (full width when empty) and filtered by spec.predicate.
-  /// Fails when `column` is not indexed.
+  /// Fails when `column` is not indexed or `pin` is not this table's snapshot.
   Result<std::vector<std::pair<uint64_t, Row>>> IndexLookupAt(
-      const SnapshotPtr& snapshot, size_t column, const std::vector<Value>& probes,
-      const table::ScanSpec& spec);
+      const table::PinnedReadPtr& pin, size_t column, const std::vector<Value>& probes,
+      const table::ScanSpec& spec) override;
 
   /// nullptr when options.indexed_columns is empty.
   SecondaryIndex* secondary_index() { return index_.get(); }
@@ -369,6 +323,11 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatch(
       const SnapshotPtr& snapshot, const table::ScanSpec& spec, StripeReads reads,
       uint64_t as_of = UINT64_MAX);
+  /// ScanMorselAt; incremental COMPACT reads its one-stripe morsels
+  /// kUncached, like every statement-internal scan.
+  Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorselAt(
+      const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
+      table::ScanMeter* meter, StripeReads reads = StripeReads::kCached);
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForFile(
       const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec,
       StripeReads reads);
@@ -406,6 +365,11 @@ class DualTable : public table::StorageTable {
                                    const std::vector<uint64_t>& folded_record_ids,
                                    bool fold_complete);
 
+  /// Reclaims folded attached cells: the whole store when `all`, else the
+  /// cells of `record_ids`, merged away with their tombstones. Publishes the
+  /// new attached clock. Caller holds mu_ and snapshot_mu_.
+  Status ReclaimAttached(const std::vector<uint64_t>& record_ids, bool all);
+
   /// Drops the attached store when it holds only dead weight (tombstones and
   /// the cells they mask): re-plans under mu_ and clears the store iff the
   /// scan surfaces zero modifications. Called by BackgroundMaintenance when
@@ -422,15 +386,20 @@ class DualTable : public table::StorageTable {
 
   /// Plan computation against a pinned snapshot (one attached scan, binned
   /// into stripe row windows two-pointer style).
-  Result<IncrementalCompactionPlan> PreviewIncrementalCompactionAt(
+  Result<table::IncrementalCompactionPlan> PreviewIncrementalCompactionAt(
       const SnapshotPtr& snapshot) const;
+  /// True while the committed state and the density threshold are still
+  /// those `planned` was made at, so a re-plan would select the same files.
+  /// Caller holds mu_.
+  bool PlanStillHolds(const table::CompactPlan& planned);
 
   /// Rewrites one selected file into (at most) one replacement: dirty
   /// stripes are re-encoded from the batch UNION READ of that stripe
   /// (updates patched, deletes masked), clean stripes raw-copied. Appends
   /// the replacement's info to `new_files` (nothing when every row was
   /// deleted) and the folded record IDs to `folded`.
-  Status RewriteFileIncremental(const SnapshotPtr& snapshot, const FileCompactionPlan& file,
+  Status RewriteFileIncremental(const SnapshotPtr& snapshot,
+                                const table::FileCompactionPlan& file,
                                 std::vector<MasterFileInfo>* new_files,
                                 std::vector<uint64_t>* folded,
                                 IncrementalCompactStats* stats);

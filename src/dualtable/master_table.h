@@ -84,21 +84,9 @@ class MasterGeneration {
 /// Snapshots hold generations const: a pinned file set never mutates.
 using MasterGenerationPtr = std::shared_ptr<const MasterGeneration>;
 
-/// One stripe-aligned unit of parallel scan work: a contiguous stripe range
-/// of one master file. Morsel boundaries never split a stripe, so every
-/// batch a morsel emits keeps the contiguous-record-ID invariant UNION READ
-/// relies on, and each surviving stripe is decoded by exactly one worker
-/// (merged ScanMeter byte counts match a serial scan).
-struct ScanMorsel {
-  uint64_t file_id = 0;
-  size_t stripe_begin = 0;
-  size_t stripe_end = 0;  // exclusive
-  /// Record-ID window [first_record_id, end_record_id) covered by the
-  /// morsel's stripes; bounds the attached-table scan per worker.
-  uint64_t first_record_id = 0;
-  uint64_t end_record_id = 0;
-  uint64_t num_rows = 0;  // physical rows in surviving stripes
-};
+/// A master morsel is a stripe range of one master file; its record-ID window
+/// bounds the attached scan that UNION READ merges into it.
+using table::ScanMorsel;
 
 /// Writer for one new master file. The file is NOT registered with the
 /// table until Close() returns its info to the caller, which lets OVERWRITE

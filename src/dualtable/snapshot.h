@@ -24,6 +24,7 @@
 #include "common/stopwatch.h"
 #include "dualtable/master_table.h"
 #include "kv/store.h"
+#include "table/spec.h"
 
 namespace dtl::dual {
 
@@ -67,9 +68,10 @@ class SnapshotTracker {
   std::atomic<uint64_t> acquired_{0};
 };
 
-/// One pinned, immutable view of a DualTable. Cheap to copy by SnapshotPtr;
-/// the pins release (and deferred GC may run) when the last holder drops it.
-struct Snapshot {
+/// One pinned, immutable view of a DualTable — its StorageTable::Pin(). Cheap
+/// to copy by SnapshotPtr; the pins release (and deferred GC may run) when the
+/// last holder drops it.
+struct Snapshot : table::PinnedRead {
   /// Pinned master file set. Holding this keeps the generation's files on
   /// disk even after a COMPACT/OVERWRITE replaces them.
   MasterGenerationPtr generation;
@@ -87,10 +89,7 @@ struct Snapshot {
   kv::KvSnapshot index;
   bool has_index = false;
 
-  Snapshot() = default;
-  Snapshot(const Snapshot&) = delete;
-  Snapshot& operator=(const Snapshot&) = delete;
-  ~Snapshot() {
+  ~Snapshot() override {
     if (tracker != nullptr) tracker->OnRelease(tracker_token);
   }
 

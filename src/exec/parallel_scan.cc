@@ -10,12 +10,12 @@ namespace dtl::exec {
 
 Status ParallelScanner::Run(
     const std::function<Status(size_t worker, const table::RowBatch& batch)>& consume) {
-  // One snapshot pins the whole scan: planning and every morsel read the
-  // same (generation, attached state) pair regardless of concurrent writers.
-  const dual::SnapshotPtr snapshot =
-      options_.snapshot != nullptr ? options_.snapshot : table_->AcquireSnapshot();
-  DTL_ASSIGN_OR_RETURN(
-      auto morsels, table_->PlanScanMorselsAt(snapshot, spec_, options_.morsel_stripes));
+  // One pin spans the whole scan: planning and every morsel read the same
+  // committed state regardless of concurrent writers.
+  const table::PinnedReadPtr pin =
+      options_.snapshot != nullptr ? options_.snapshot : table_->Pin();
+  DTL_ASSIGN_OR_RETURN(auto morsels,
+                       table_->PlanScanMorselsAt(pin, spec_, options_.morsel_stripes));
   size_t workers = planned_parallelism();
   workers = std::min(workers, morsels.size());
 
@@ -29,8 +29,8 @@ Status ParallelScanner::Run(
     while (!cancelled()) {
       const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
       if (m >= morsels.size()) break;
-      DTL_ASSIGN_OR_RETURN(auto it, table_->NewUnionReadBatchForMorselAt(
-                                        snapshot, morsels[m], spec_, &meters[w]));
+      DTL_ASSIGN_OR_RETURN(auto it,
+                           table_->ScanMorselAt(pin, morsels[m], spec_, &meters[w]));
       while (it->Next(&batch)) {
         DTL_RETURN_NOT_OK(consume(w, batch));
       }

@@ -1,8 +1,9 @@
 // Morsel-driven parallel scan executor (the engine-side analog of Hive
-// fanning a scan out across map tasks). A DualTable scan is split into
-// stripe-aligned morsels; N workers on the shared ThreadPool pull morsels
-// from a queue, each running its own MasterScanBatchIterator → UNION READ
-// over the morsel's record-ID window with a worker-local ScanMeter. Order-
+// fanning a scan out across map tasks). A table's scan is split into
+// stripe-aligned morsels (StorageTable::PlanScanMorselsAt); N workers on the
+// shared ThreadPool pull morsels from a queue, each scanning its morsel
+// (StorageTable::ScanMorselAt — a UNION READ over the morsel's record-ID
+// window on a DualTable) with a worker-local ScanMeter. Order-
 // insensitive consumers (counts, aggregates, unordered row collection) fold
 // per-worker partial states together at a single barrier, after which the
 // worker meters merge into the scan's target meter — so the merged counts
@@ -14,11 +15,11 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "dualtable/dual_table.h"
 #include "exec/operators.h"
 #include "obs/metrics.h"
 #include "table/scan_stats.h"
 #include "table/spec.h"
+#include "table/storage_table.h"
 
 namespace dtl::exec {
 
@@ -36,26 +37,26 @@ struct ParallelScanOptions {
   /// histogram (how evenly morsels spread across workers). Not owned.
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Snapshot every morsel reads from. When null, Run() acquires one itself
-  /// at planning time. Either way ONE snapshot spans morsel planning and all
-  /// per-morsel UNION READs, so concurrent EDIT/COMPACT commits can never
+  /// The table's Pin() every morsel reads from. When null, Run() pins one
+  /// itself at planning time. Either way ONE pin spans morsel planning and
+  /// all per-morsel scans, so concurrent EDIT/COMPACT commits can never
   /// tear the scan: the result is byte-identical to a serial scan of the
-  /// snapshot. The SQL layer passes its statement snapshot here.
-  dual::SnapshotPtr snapshot;
+  /// pinned view. The SQL layer passes its statement's pin here.
+  table::PinnedReadPtr snapshot;
 };
 
-/// One-shot parallel scan over a DualTable. The scan is order-insensitive
+/// One-shot parallel scan over one table. The scan is order-insensitive
 /// ACROSS morsels (workers claim them dynamically); within a morsel, batches
 /// arrive in record-ID order. Order-sensitive plans must stay on the serial
 /// iterator — the SQL layer enforces that gate.
 class ParallelScanner {
  public:
-  ParallelScanner(dual::DualTable* table, table::ScanSpec spec,
+  ParallelScanner(table::StorageTable* table, table::ScanSpec spec,
                   ParallelScanOptions options)
       : table_(table), spec_(std::move(spec)), options_(options) {}
 
-  /// Worker `w` (0-based, stable per pool task) receives every UNION READ
-  /// batch of the morsels it claimed. `consume` must be safe to run
+  /// Worker `w` (0-based, stable per pool task) receives every batch of the
+  /// morsels it claimed. `consume` must be safe to run
   /// concurrently for DIFFERENT worker indices; per index it is sequential.
   /// The first error cancels remaining morsels. Worker-local meters merge
   /// into spec.meter (or the global meter) before Run returns.
@@ -79,7 +80,7 @@ class ParallelScanner {
   }
 
  private:
-  dual::DualTable* table_;
+  table::StorageTable* table_;
   table::ScanSpec spec_;
   ParallelScanOptions options_;
 };

@@ -4,10 +4,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
-#include "baseline/acid_table.h"
 #include "common/stopwatch.h"
-#include "dualtable/dual_table.h"
 #include "exec/operators.h"
 #include "exec/parallel_scan.h"
 #include "obs/metric_names.h"
@@ -89,8 +88,8 @@ Status BindScanFilter(const std::vector<const Expr*>& conjuncts, const Scope& sc
 
 /// Which executor runs a planned SELECT (DESIGN.md §15 route table).
 enum class SelectRoute {
-  kParallelAggregate,  // morsel-parallel global aggregate over one DualTable
-  kIndexLookup,        // secondary-index probe on one DualTable
+  kParallelAggregate,  // morsel-parallel global aggregate over one pinned table
+  kIndexLookup,        // secondary-index probe on one table
   kBatch,              // batch operator pipeline: everything else
 };
 
@@ -108,12 +107,12 @@ struct SelectPlan {
     std::unique_ptr<SelectPlan> derived;           // FROM (SELECT ...) child plan
     size_t offset = 0;  // first flat ordinal of this table
     size_t width = 0;
-    /// Statement snapshot, pinned at plan time when `storage` is a DualTable.
-    /// Every scan of this slot — serial, vectorized, parallel, index — reads
-    /// from it, so one statement sees one consistent view of each table no
+    /// The table's Pin(), taken at plan time (null for storages without a
+    /// pinned view). Every scan of this slot — batch, morsel, index — reads
+    /// at it, so one statement sees one consistent view of each table no
     /// matter what commits concurrently (repeatable read at statement
     /// granularity).
-    dual::SnapshotPtr snapshot;
+    table::PinnedReadPtr pin;
     /// The table's pushed-down scan: projection, the AND of the pushed WHERE
     /// conjuncts and their stats bounds. A derived table applies only the
     /// predicate, to its child plan's rows.
@@ -184,15 +183,15 @@ Scope LocalScope(const SelectPlan::Slot& slot) {
   return local;
 }
 
-/// Scans `conjuncts` for one the secondary index can answer: `col = lit` or a
+/// Scans `conjuncts` for one `table`'s index can answer: `col = lit` or a
 /// non-negated `col IN (lit, ...)` where `col` is indexed and every literal's
 /// kind matches the column type exactly (mixed-kind comparisons fall back to
 /// the scan path, which owns the coercion semantics). NULL literals never
 /// match a row, so they contribute no probe. Returns false when no conjunct
 /// qualifies.
 bool FindIndexProbe(const std::vector<const Expr*>& conjuncts, const Scope& scope,
-                    const Schema& schema, const dual::SecondaryIndex& index,
-                    size_t* column, std::vector<Value>* probes) {
+                    const table::StorageTable& table, size_t* column,
+                    std::vector<Value>* probes) {
   for (const Expr* c : conjuncts) {
     const Expr* col_ref = nullptr;
     std::vector<const Value*> lits;
@@ -219,8 +218,8 @@ bool FindIndexProbe(const std::vector<const Expr*>& conjuncts, const Scope& scop
     }
     if (col_ref == nullptr) continue;
     auto ordinal = scope.Resolve(col_ref->qualifier, col_ref->column);
-    if (!ordinal.ok() || !index.IndexesColumn(*ordinal)) continue;
-    const DataType type = schema.field(*ordinal).type;
+    if (!ordinal.ok() || !table.IndexesColumn(*ordinal)) continue;
+    const DataType type = table.schema().field(*ordinal).type;
     bool kinds_ok = true;
     std::vector<Value> vals;
     for (const Value* lit : lits) {
@@ -518,18 +517,19 @@ Result<QueryResult> Engine::DispatchStatement(const Statement& stmt) {
   return Status::Internal("unhandled statement kind");
 }
 
+void Engine::RecordBind(const Stopwatch& bind_watch) {
+  if (exec_.tracer != nullptr && exec_.tracer->active()) {
+    exec_.tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
+  }
+}
+
 Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
   // Planning is the `bind` stage; every scan opens inside `execute`.
-  obs::Tracer* tracer = exec_.tracer;
   Stopwatch bind_watch;
   DTL_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt));
-  obs::TraceNode* exec_node = nullptr;
-  if (tracer != nullptr && tracer->active()) {
-    tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-    exec_node = tracer->AddNode(obs::names::kSpanExecute);
-  }
-  obs::Span exec_span(tracer, exec_node);
-  DTL_ASSIGN_OR_RETURN(auto pipeline, RunSelect(plan, exec_node));
+  RecordBind(bind_watch);
+  obs::Span exec_span(exec_.tracer, obs::names::kSpanExecute);
+  DTL_ASSIGN_OR_RETURN(auto pipeline, RunSelect(plan, exec_span.node()));
   QueryResult result;
   DTL_ASSIGN_OR_RETURN(result.rows, exec::CollectBatches(pipeline.get()));
   result.column_names = std::move(plan.column_names);
@@ -558,9 +558,7 @@ Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
       slot.storage = entry.table;
       slot.width = entry.table->schema().num_fields();
       scope.AddTable(slot.qualifier, entry.table->schema());
-      if (auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get())) {
-        slot.snapshot = dual->AcquireSnapshot();
-      }
+      slot.pin = entry.table->Pin();
     }
     slots.push_back(std::move(slot));
     return Status::OK();
@@ -655,25 +653,22 @@ Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
   for (const Expr* e : select_exprs) has_aggregate |= ContainsAggregate(*e);
   for (const auto& o : order_exprs) has_aggregate |= ContainsAggregate(*o);
   const bool single_table = stmt.joins.empty() && slots[0].storage != nullptr;
-  auto* dual =
-      single_table ? dynamic_cast<dual::DualTable*>(slots[0].storage.get()) : nullptr;
-  // Single-DualTable global aggregates (no GROUP BY/HAVING/ORDER BY) are
-  // order-insensitive: morsel workers build partial AggStates merged at one
-  // barrier, identical to the serial plan. Every other plan stays serial —
-  // that is the ordering contract.
-  if (dual != nullptr && exec_.parallelism > 1 && exec_.pool != nullptr && has_aggregate &&
-      group_by.empty() && having == nullptr && order_exprs.empty()) {
+  // Global aggregates (no GROUP BY/HAVING/ORDER BY) over one pinned table
+  // are order-insensitive: morsel workers build partial AggStates merged at
+  // one barrier, identical to the serial plan, and every morsel reads the
+  // statement's pin. Every other plan stays serial — that is the ordering
+  // contract.
+  if (single_table && slots[0].pin != nullptr && exec_.parallelism > 1 &&
+      exec_.pool != nullptr && has_aggregate && group_by.empty() && having == nullptr &&
+      order_exprs.empty()) {
     plan.route = SelectRoute::kParallelAggregate;
   } else if (single_table && !has_aggregate && order_exprs.empty()) {
     // `WHERE <indexed col> = <lit>` (or IN (...)) resolves through the
     // secondary index. All pushed conjuncts still run as the residual
     // predicate and record-id order equals scan order, so the output is
     // identical to the scan's.
-    const bool indexed = dual != nullptr && slots[0].snapshot->has_index &&
-                         dual->secondary_index() != nullptr && !pushed[0].empty();
-    plan.route = indexed && FindIndexProbe(pushed[0], local_scopes[0], dual->schema(),
-                                           *dual->secondary_index(), &plan.probe_column,
-                                           &plan.probes)
+    plan.route = FindIndexProbe(pushed[0], local_scopes[0], *slots[0].storage,
+                                &plan.probe_column, &plan.probes)
                      ? SelectRoute::kIndexLookup
                      : SelectRoute::kBatch;
   }
@@ -886,13 +881,12 @@ Result<std::unique_ptr<exec::BatchOperator>> Engine::RunSelect(
     switch (step.op) {
       case Op::kParallelScan: {
         SelectPlan::Slot& slot = plan.slots[step.slot];
-        exec::ParallelScanner scanner(static_cast<dual::DualTable*>(slot.storage.get()),
-                                      std::move(slot.spec),
+        exec::ParallelScanner scanner(slot.storage.get(), std::move(slot.spec),
                                       {.pool = exec_.pool,
                                        .parallelism = exec_.parallelism,
                                        .morsel_stripes = exec_.morsel_stripes,
                                        .metrics = exec_.metrics,
-                                       .snapshot = slot.snapshot});
+                                       .snapshot = slot.pin});
         op = std::make_unique<exec::DeferredRowsOperator>(
             [scanner = std::move(scanner), aggs = std::move(step.aggs),
              fns = std::move(step.fns), limit,
@@ -909,12 +903,11 @@ Result<std::unique_ptr<exec::BatchOperator>> Engine::RunSelect(
         // cache -> delta patch -> probe re-verify -> pushed predicate.
         SelectPlan::Slot& slot = plan.slots[step.slot];
         op = std::make_unique<exec::DeferredRowsOperator>(
-            [dual = static_cast<dual::DualTable*>(slot.storage.get()),
-             snapshot = slot.snapshot, spec = std::move(slot.spec),
+            [storage = slot.storage, pin = slot.pin, spec = std::move(slot.spec),
              column = plan.probe_column, probes = std::move(plan.probes),
              fns = std::move(step.fns), limit, output]() -> Result<std::vector<Row>> {
               DTL_ASSIGN_OR_RETURN(auto matches,
-                                   dual->IndexLookupAt(snapshot, column, probes, spec));
+                                   storage->IndexLookupAt(pin, column, probes, spec));
               std::vector<Row> rows;
               for (const auto& match : matches) {
                 if (limit.has_value() && rows.size() >= *limit) break;
@@ -934,11 +927,8 @@ Result<std::unique_ptr<exec::BatchOperator>> Engine::RunSelect(
             op = std::make_unique<exec::BatchFilterOperator>(std::move(op),
                                                              slot.spec.predicate);
           }
-        } else if (slot.snapshot != nullptr) {
-          auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-          DTL_ASSIGN_OR_RETURN(op, dual->ScanBatchesAt(slot.snapshot, slot.spec));
         } else {
-          DTL_ASSIGN_OR_RETURN(op, slot.storage->ScanBatches(slot.spec));
+          DTL_ASSIGN_OR_RETURN(op, slot.storage->ScanBatchesAt(slot.pin, slot.spec));
         }
         break;
       }
@@ -1117,38 +1107,44 @@ Result<table::ScanSpec> BindDmlFilter(const Expr* where, const Scope& scope,
   return filter;
 }
 
-/// Which storage kinds support the requested COMPACT; EXPLAIN COMPACT
-/// returns the same status.
-Status CheckCompactSupported(const CompactStmt& stmt, table::TableKind kind) {
-  if (stmt.incremental && kind != table::TableKind::kDual) {
-    return Status::NotSupported("COMPACT INCREMENTAL supports dualtable tables only");
-  }
-  if (kind != table::TableKind::kDual && kind != table::TableKind::kAcid) {
-    return Status::NotSupported("COMPACT supports dualtable and acid tables only");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
+/// A COMPACT planned once by Engine::PlanCompact: the target table and the
+/// storage's plan. ExecuteCompact runs `compact` and EXPLAIN renders it.
+struct CompactStatementPlan {
+  table::Catalog::Entry entry;
+  table::CompactPlan compact;
+};
+
+Result<CompactStatementPlan> Engine::PlanCompact(const CompactStmt& stmt) {
+  CompactStatementPlan plan;
+  DTL_ASSIGN_OR_RETURN(plan.entry, catalog_->Lookup(stmt.table));
+  DTL_ASSIGN_OR_RETURN(plan.compact, plan.entry.table->PlanCompact(stmt.incremental));
+  return plan;
+}
+
 Result<QueryResult> Engine::ExecuteCompact(const CompactStmt& stmt) {
-  DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
-  DTL_RETURN_NOT_OK(CheckCompactSupported(stmt, entry.kind));
+  // Like DML: planning is `bind`, the storage runs the plan in `execute`.
+  Stopwatch bind_watch;
+  DTL_ASSIGN_OR_RETURN(CompactStatementPlan plan, PlanCompact(stmt));
+  RecordBind(bind_watch);
+  obs::Span exec_span(exec_.tracer, obs::names::kSpanExecute,
+                      table::CompactActionName(plan.compact.action));
+  DTL_ASSIGN_OR_RETURN(table::CompactResult done,
+                       plan.entry.table->ExecuteCompact(plan.compact, exec_.tracer));
   QueryResult result;
-  if (stmt.incremental) {
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    DTL_ASSIGN_OR_RETURN(auto stats, dual->CompactIncremental(exec_.tracer));
-    result.message = "incremental compact of " + stmt.table + ": " + stats.ToString();
-    return result;
+  result.dml_plan = table::CompactActionName(done.action);
+  switch (done.action) {
+    case table::CompactAction::kNone:
+      result.message = "nothing to compact in table " + stmt.table + ": " + done.summary;
+      break;
+    case table::CompactAction::kRewrite:
+      result.message = "compacted table " + stmt.table + ": " + done.summary;
+      break;
+    case table::CompactAction::kIncremental:
+      result.message = "incremental compact of " + stmt.table + ": " + done.summary;
+      break;
   }
-  if (entry.kind == table::TableKind::kDual) {
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    DTL_RETURN_NOT_OK(dual->Compact());
-  } else {
-    auto* acid = dynamic_cast<baseline::AcidTable*>(entry.table.get());
-    DTL_RETURN_NOT_OK(acid->MajorCompact());
-  }
-  result.message = "compacted table " + stmt.table;
   return result;
 }
 
@@ -1325,16 +1321,11 @@ Result<QueryResult> RunMerge(const DmlStatementPlan& plan) {
 Result<QueryResult> Engine::ExecuteDml(const Statement& stmt) {
   // Planning is the `bind` stage; the storage runs the plan inside
   // `execute(<PLAN>)` — the stage pair a SELECT records.
-  obs::Tracer* tracer = exec_.tracer;
   Stopwatch bind_watch;
   DTL_ASSIGN_OR_RETURN(DmlStatementPlan plan, PlanDml(stmt));
-  obs::TraceNode* exec_node = nullptr;
-  if (tracer != nullptr && tracer->active()) {
-    tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-    exec_node =
-        tracer->AddNode(obs::names::kSpanExecute, table::DmlPlanName(plan.choice.plan));
-  }
-  obs::Span exec_span(tracer, exec_node);
+  RecordBind(bind_watch);
+  obs::Span exec_span(exec_.tracer, obs::names::kSpanExecute,
+                      table::DmlPlanName(plan.choice.plan));
   if (plan.merge_source != nullptr) return RunMerge(plan);
   DTL_ASSIGN_OR_RETURN(table::DmlResult dml,
                        plan.entry.table->ExecuteDml(plan.spec, plan.choice));
@@ -1424,18 +1415,16 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     return result;
   }
   if (const auto* compact = std::get_if<CompactStmt>(stmt.inner.get())) {
-    DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(compact->table));
-    DTL_RETURN_NOT_OK(CheckCompactSupported(*compact, entry.kind));
+    // The plan ExecuteCompact would run, from the same planner.
+    DTL_ASSIGN_OR_RETURN(CompactStatementPlan plan, PlanCompact(*compact));
+    emit(std::string(compact->incremental ? "COMPACT INCREMENTAL " : "COMPACT ") +
+         compact->table + " (" + table::TableKindName(plan.entry.kind) + ")");
+    emit(std::string("  plan: ") + table::CompactActionName(plan.compact.action) + " (" +
+         plan.compact.reason + ")");
     if (compact->incremental) {
-      auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      emit("COMPACT INCREMENTAL " + compact->table);
-      DTL_ASSIGN_OR_RETURN(auto plan, dual->PreviewIncrementalCompaction());
-      std::istringstream lines(plan.ToString());
+      std::istringstream lines(plan.compact.fold.ToString());
       for (std::string line; std::getline(lines, line);) emit("  " + line);
-      return result;
     }
-    emit("COMPACT " + compact->table + " (" + table::TableKindName(entry.kind) +
-         "): full rewrite");
     return result;
   }
   emit("statement executes directly (no plan choices)");

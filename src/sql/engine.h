@@ -1,8 +1,10 @@
 // Statement execution: plans each SELECT once into a SelectPlan (predicate
-// pushdown, stats-bound extraction, route choice, operator steps) and each
+// pushdown, stats-bound extraction, route choice, operator steps), each
 // UPDATE/DELETE/MERGE once into a DmlStatementPlan (bound filter and SET
-// values, the storage's plan choice) that execution, EXPLAIN and EXPLAIN
-// ANALYZE share. The WITH RATIO hint goes into the storage's plan choice,
+// values, the storage's plan choice) and each COMPACT once into a
+// CompactStatementPlan, which execution, EXPLAIN and EXPLAIN ANALYZE share.
+// The engine reaches every table through table::StorageTable and names no
+// concrete storage. The WITH RATIO hint goes into the storage's plan choice,
 // mirroring the paper's DualTable parser that "will choose to generate a
 // Hive-compatible statement ... or our UDTFs, based on the cost evaluator".
 #pragma once
@@ -14,6 +16,7 @@
 
 #include "common/schema.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "exec/operators.h"
 #include "fs/filesystem.h"
@@ -31,10 +34,11 @@ namespace dtl::sql {
 
 struct SelectPlan;
 struct DmlStatementPlan;
+struct CompactStatementPlan;
 
-/// Execution knobs for parallel DualTable scans. Only order-insensitive
-/// plans (single-table global aggregates) run parallel; everything else
-/// keeps the serial iterator regardless of `parallelism`.
+/// Execution knobs for parallel scans. Only order-insensitive plans
+/// (global aggregates over one pinned table) run parallel; everything else
+/// keeps the serial pipeline regardless of `parallelism`.
 struct ExecOptions {
   /// Pool the morsel workers run on; nullptr keeps every plan serial.
   ThreadPool* pool = nullptr;
@@ -64,7 +68,8 @@ struct QueryResult {
   std::vector<std::string> column_names;
   std::vector<Row> rows;
   uint64_t affected_rows = 0;
-  /// Physical plan used by DML ("EDIT", "OVERWRITE", ...), empty otherwise.
+  /// Physical plan a DML statement ran ("EDIT", "OVERWRITE", ...) or the
+  /// action a COMPACT ran ("NONE", "REWRITE", "INCREMENTAL"); empty otherwise.
   std::string dml_plan;
   std::string message;
 
@@ -119,7 +124,16 @@ class Engine {
   /// PlanDml + the storage's ExecuteDml (MERGE: probe, UPDATE, INSERT), with
   /// the `bind` and `execute(<PLAN>)` trace stages.
   Result<QueryResult> ExecuteDml(const Statement& stmt);
+  /// Plans a COMPACT once: the target table and the storage's CompactPlan.
+  /// The only caller of StorageTable::PlanCompact; execution and EXPLAIN
+  /// both read it.
+  Result<CompactStatementPlan> PlanCompact(const CompactStmt& stmt);
+  /// PlanCompact + the storage's ExecuteCompact, with the `bind` and
+  /// `execute(<ACTION>)` trace stages.
   Result<QueryResult> ExecuteCompact(const CompactStmt& stmt);
+  /// Records the `bind` stage: the planning time since `bind_watch` started.
+  /// Each statement then runs its plan inside an `execute` span.
+  void RecordBind(const Stopwatch& bind_watch);
   Result<QueryResult> ExecuteShowTables();
   Result<QueryResult> ExecuteShowStats(const ShowStatsStmt& stmt);
   Result<QueryResult> ExecuteLoad(const LoadStmt& stmt);

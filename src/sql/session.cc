@@ -31,7 +31,9 @@ Result<std::unique_ptr<Session>> Session::Create(SessionOptions options) {
       &session->catalog_,
       [self](const std::string& name, table::TableKind kind, const Schema& schema,
              const std::vector<size_t>& indexed_columns) {
-        return self->MakeTable(name, kind, schema, indexed_columns);
+        dual::DualTableOptions dual_options = self->options_.dual_defaults;
+        if (!indexed_columns.empty()) dual_options.indexed_columns = indexed_columns;
+        return self->OpenTable(name, kind, schema, std::move(dual_options));
       },
       session->fs_.get());
   ExecOptions exec;
@@ -284,16 +286,14 @@ Session::~Session() {
   if (scheduler_ != nullptr) scheduler_->Shutdown();
 }
 
-Result<std::shared_ptr<table::StorageTable>> Session::MakeTable(
+Result<std::shared_ptr<table::StorageTable>> Session::OpenTable(
     const std::string& name, table::TableKind kind, const Schema& schema,
-    const std::vector<size_t>& indexed_columns) {
+    dual::DualTableOptions dual_options) {
   switch (kind) {
     case table::TableKind::kDual: {
-      dual::DualTableOptions dual_options = options_.dual_defaults;
-      if (!indexed_columns.empty()) dual_options.indexed_columns = indexed_columns;
       DTL_ASSIGN_OR_RETURN(auto t, dual::DualTable::Open(fs_.get(), metadata_.get(),
                                                          &cluster_, name, schema,
-                                                         dual_options));
+                                                         std::move(dual_options)));
       if (options_.observability) {
         std::weak_ptr<dual::DualTable> weak = t;
         RegisterKvViews(name, [weak]() -> kv::KvStore* {
@@ -336,56 +336,32 @@ Result<std::shared_ptr<table::StorageTable>> Session::MakeTable(
   return Status::Internal("unhandled table kind");
 }
 
+template <typename T>
+Result<std::shared_ptr<T>> Session::CreateTable(const std::string& name,
+                                                table::TableKind kind, const Schema& schema,
+                                                dual::DualTableOptions dual_options) {
+  // Checked first: opening registers metric views under `name`.
+  if (catalog_.Contains(name)) return Status::AlreadyExists("table already exists: " + name);
+  DTL_ASSIGN_OR_RETURN(auto t, OpenTable(name, kind, schema, std::move(dual_options)));
+  DTL_RETURN_NOT_OK(catalog_.Register(name, kind, t));
+  return std::static_pointer_cast<T>(std::move(t));
+}
+
 Result<std::shared_ptr<dual::DualTable>> Session::CreateDualTable(
     const std::string& name, const Schema& schema,
     std::optional<dual::DualTableOptions> options) {
-  DTL_ASSIGN_OR_RETURN(auto t, dual::DualTable::Open(
-                                   fs_.get(), metadata_.get(), &cluster_, name, schema,
-                                   options.value_or(options_.dual_defaults)));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kDual, t));
-  if (options_.observability) {
-    std::weak_ptr<dual::DualTable> weak = t;
-    RegisterKvViews(name, [weak]() -> kv::KvStore* {
-      auto strong = weak.lock();
-      return strong == nullptr ? nullptr : strong->attached()->store();
-    });
-    RegisterSnapshotViews(name, [weak]() -> dual::DualTable* {
-      auto strong = weak.lock();
-      return strong.get();
-    });
-  }
-  return t;
+  return CreateTable<dual::DualTable>(name, table::TableKind::kDual, schema,
+                                      options.value_or(options_.dual_defaults));
 }
 
 Result<std::shared_ptr<baseline::HiveTable>> Session::CreateHiveTable(
     const std::string& name, const Schema& schema) {
-  DTL_ASSIGN_OR_RETURN(auto t, baseline::HiveTable::Open(fs_.get(), metadata_.get(), name,
-                                                         schema, options_.hive_defaults));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kHiveOrc, t));
-  return t;
+  return CreateTable<baseline::HiveTable>(name, table::TableKind::kHiveOrc, schema, {});
 }
 
 Result<std::shared_ptr<baseline::HBaseTable>> Session::CreateHBaseTable(
     const std::string& name, const Schema& schema) {
-  DTL_ASSIGN_OR_RETURN(
-      auto t, baseline::HBaseTable::Open(fs_.get(), name, schema, options_.hbase_defaults));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kHiveHBase, t));
-  if (options_.observability) {
-    std::weak_ptr<baseline::HBaseTable> weak = t;
-    RegisterKvViews(name, [weak]() -> kv::KvStore* {
-      auto strong = weak.lock();
-      return strong == nullptr ? nullptr : strong->store();
-    });
-  }
-  return t;
-}
-
-Result<std::shared_ptr<baseline::AcidTable>> Session::CreateAcidTable(
-    const std::string& name, const Schema& schema) {
-  DTL_ASSIGN_OR_RETURN(auto t, baseline::AcidTable::Open(fs_.get(), metadata_.get(), name,
-                                                         schema, options_.acid_defaults));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kAcid, t));
-  return t;
+  return CreateTable<baseline::HBaseTable>(name, table::TableKind::kHiveHBase, schema, {});
 }
 
 Status Session::DropTable(const std::string& name) {

@@ -34,9 +34,9 @@ struct SessionOptions {
   /// Worker threads for morsel-parallel scans and parallel COMPACT; 0 =
   /// hardware threads.
   size_t pool_threads = 0;
-  /// Morsel workers per parallel DualTable scan. <=1 keeps every SQL plan on
-  /// the serial iterator; >1 routes order-insensitive plans (single-table
-  /// global aggregates) through the morsel-driven ParallelScanner.
+  /// Morsel workers per parallel scan. <=1 keeps every SQL plan on the
+  /// serial pipeline; >1 routes order-insensitive plans (global aggregates
+  /// over one pinned table) through the morsel-driven ParallelScanner.
   size_t parallelism = 1;
   /// Surviving stripes per scan morsel.
   size_t morsel_stripes = 1;
@@ -87,8 +87,6 @@ class Session {
                                                                const Schema& schema);
   Result<std::shared_ptr<baseline::HBaseTable>> CreateHBaseTable(const std::string& name,
                                                                  const Schema& schema);
-  Result<std::shared_ptr<baseline::AcidTable>> CreateAcidTable(const std::string& name,
-                                                               const Schema& schema);
 
   /// Drops the table and removes it from the catalog.
   Status DropTable(const std::string& name);
@@ -144,9 +142,18 @@ class Session {
   explicit Session(SessionOptions options)
       : options_(std::move(options)), cluster_(options_.cluster) {}
 
-  Result<std::shared_ptr<table::StorageTable>> MakeTable(
-      const std::string& name, table::TableKind kind, const Schema& schema,
-      const std::vector<size_t>& indexed_columns);
+  /// Opens a table of `kind` (a DualTable with `dual_options`) and registers
+  /// its metric views: the one table factory, behind CREATE TABLE and the
+  /// Create*Table helpers.
+  Result<std::shared_ptr<table::StorageTable>> OpenTable(const std::string& name,
+                                                         table::TableKind kind,
+                                                         const Schema& schema,
+                                                         dual::DualTableOptions dual_options);
+  /// OpenTable + catalog registration, returned as the type `kind` opens.
+  template <typename T>
+  Result<std::shared_ptr<T>> CreateTable(const std::string& name, table::TableKind kind,
+                                         const Schema& schema,
+                                         dual::DualTableOptions dual_options);
 
   /// Registers the labeled kv.* view family for one table's KV store. The
   /// weak_ptr keeps views of dropped tables from dangling: they read 0.

@@ -25,6 +25,31 @@ struct ColumnBound {
   std::optional<Value> upper;
 };
 
+/// A pinned, immutable view of one table's committed state (StorageTable::
+/// Pin), shared by every read of a statement so all of them see one state.
+class PinnedRead {
+ public:
+  PinnedRead() = default;
+  PinnedRead(const PinnedRead&) = delete;
+  PinnedRead& operator=(const PinnedRead&) = delete;
+  virtual ~PinnedRead() = default;
+};
+using PinnedReadPtr = std::shared_ptr<const PinnedRead>;
+
+/// One unit of parallel scan work: a contiguous stripe range of one base
+/// file. Morsels never split a stripe, so each surviving stripe is decoded by
+/// exactly one worker (merged ScanMeter counts match a serial scan).
+struct ScanMorsel {
+  uint64_t file_id = 0;
+  size_t stripe_begin = 0;
+  size_t stripe_end = 0;  // exclusive
+  /// Record-ID window [first_record_id, end_record_id) covered by the
+  /// morsel's stripes; bounds the delta scan per worker.
+  uint64_t first_record_id = 0;
+  uint64_t end_record_id = 0;
+  uint64_t num_rows = 0;  // physical rows in surviving stripes
+};
+
 /// Row filter evaluated over a full-schema-width row (non-required columns
 /// hold NULL). Shared so operators can hold copies cheaply.
 using RowPredicateFn = std::function<bool(const Row&)>;
@@ -137,6 +162,72 @@ struct DmlResult {
   uint64_t rows_matched = 0;
   uint64_t rows_scanned = 0;
   DmlPlan plan = DmlPlan::kOverwrite;
+};
+
+/// What a COMPACT does to storage.
+enum class CompactAction {
+  kNone,         // nothing to fold: the statement writes nothing
+  kRewrite,      // every delta folded into a new generation of base files
+  kIncremental,  // only the files dense enough in deltas are rewritten
+};
+const char* CompactActionName(CompactAction action);
+
+/// Delta density of one stripe of a base file: the fraction of its rows with
+/// at least one delta.
+struct StripeDensity {
+  uint64_t first_row = 0;
+  uint64_t rows = 0;
+  uint64_t delta_rows = 0;  // rows in [first_row, first_row+rows) with deltas
+
+  double density() const {
+    return rows == 0 ? 0.0 : static_cast<double>(delta_rows) / static_cast<double>(rows);
+  }
+};
+
+/// One base file's rollup in an incremental fold. The file is the swap unit;
+/// within a selected file, dirty stripes are re-encoded and clean ones copied.
+struct FileCompactionPlan {
+  uint64_t file_id = 0;
+  uint64_t rows = 0;
+  uint64_t delta_rows = 0;
+  bool selected = false;  // density() >= the plan threshold
+  std::vector<StripeDensity> stripes;
+
+  double density() const {
+    return rows == 0 ? 0.0 : static_cast<double>(delta_rows) / static_cast<double>(rows);
+  }
+};
+
+/// An incremental fold: which files it rewrites and why.
+struct IncrementalCompactionPlan {
+  double threshold = 0.0;  // density at/above which a file is rewritten
+  std::vector<FileCompactionPlan> files;  // ascending file_id
+  /// Delta record IDs whose file is not in the pinned view (leftovers of
+  /// earlier rewrites); invisible to reads, reclaimed by the fold.
+  std::vector<uint64_t> stray_record_ids;
+
+  size_t selected_files() const;
+  uint64_t total_delta_rows() const;
+  std::string ToString() const;  // EXPLAIN rendering, one line per file
+};
+
+/// One COMPACT [INCREMENTAL], from StorageTable::PlanCompact. Execution runs
+/// it and EXPLAIN renders it, so both name the same action.
+struct CompactPlan {
+  CompactAction action = CompactAction::kNone;
+  /// What the action does, or why there is nothing to do (EXPLAIN's `plan:`).
+  std::string reason;
+  /// Incremental plans: each file's density and whether the fold rewrites it.
+  IncrementalCompactionPlan fold;
+  /// The view the plan was made from (incremental plans); ExecuteCompact
+  /// reuses the plan while the table still shows that view.
+  PinnedReadPtr pin;
+};
+
+/// Outcome of a COMPACT: the action executed and what it did.
+struct CompactResult {
+  CompactAction action = CompactAction::kNone;
+  std::string summary;
 };
 
 }  // namespace dtl::table

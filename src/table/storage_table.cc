@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <sstream>
 
 #include "table/scan_stats.h"
 
@@ -60,6 +61,41 @@ const char* DmlPlanName(DmlPlan plan) {
       return "DELTA";
   }
   return "?";
+}
+
+const char* CompactActionName(CompactAction action) {
+  constexpr const char* kNames[] = {"NONE", "REWRITE", "INCREMENTAL"};
+  return kNames[static_cast<size_t>(action)];
+}
+
+size_t IncrementalCompactionPlan::selected_files() const {
+  size_t n = 0;
+  for (const FileCompactionPlan& f : files) n += f.selected ? 1 : 0;
+  return n;
+}
+
+uint64_t IncrementalCompactionPlan::total_delta_rows() const {
+  uint64_t n = 0;
+  for (const FileCompactionPlan& f : files) n += f.delta_rows;
+  return n;
+}
+
+std::string IncrementalCompactionPlan::ToString() const {
+  std::ostringstream out;
+  out << "incremental compact plan: threshold=" << threshold << " files="
+      << files.size() << " selected=" << selected_files() << " strays="
+      << stray_record_ids.size();
+  for (const FileCompactionPlan& f : files) {
+    out << "\n  f_" << f.file_id << ": rows=" << f.rows << " deltas="
+        << f.delta_rows << " density=" << f.density()
+        << (f.selected ? " REWRITE" : " keep") << " stripes[";
+    for (size_t s = 0; s < f.stripes.size(); ++s) {
+      if (s > 0) out << " ";
+      out << s << ":" << f.stripes[s].density();
+    }
+    out << "]";
+  }
+  return out.str();
 }
 
 const char* DmlPlanDescription(DmlPlan plan) {
@@ -166,10 +202,48 @@ std::vector<size_t> ScanSpec::RequiredColumns(size_t num_fields) const {
   return required;
 }
 
-Result<std::unique_ptr<BatchIterator>> StorageTable::ScanBatches(const ScanSpec& spec) {
+Result<std::unique_ptr<BatchIterator>> StorageTable::ScanBatchesAt(const PinnedReadPtr&,
+                                                                   const ScanSpec& spec) {
   DTL_ASSIGN_OR_RETURN(auto it, Scan(spec));
   return std::unique_ptr<BatchIterator>(new RowToBatchAdapter(
       std::move(it), schema().num_fields(), kDefaultBatchRows, spec.meter));
+}
+
+Result<std::unique_ptr<RowIterator>> StorageTable::ScanAt(const PinnedReadPtr& pin,
+                                                          const ScanSpec& spec) {
+  DTL_ASSIGN_OR_RETURN(auto it, ScanBatchesAt(pin, spec));
+  return std::unique_ptr<RowIterator>(new BatchToRowAdapter(std::move(it), spec.meter));
+}
+
+Result<std::vector<ScanMorsel>> StorageTable::PlanScanMorselsAt(const PinnedReadPtr&,
+                                                                const ScanSpec&, size_t) {
+  return std::vector<ScanMorsel>(1);
+}
+
+Result<std::unique_ptr<BatchIterator>> StorageTable::ScanMorselAt(const PinnedReadPtr& pin,
+                                                                  const ScanMorsel&,
+                                                                  const ScanSpec& spec,
+                                                                  ScanMeter* meter) {
+  ScanSpec local = spec;
+  local.meter = meter;
+  return ScanBatchesAt(pin, local);
+}
+
+bool StorageTable::IndexesColumn(size_t) const { return false; }
+
+Result<std::vector<std::pair<uint64_t, Row>>> StorageTable::IndexLookupAt(
+    const PinnedReadPtr&, size_t, const std::vector<Value>&, const ScanSpec&) {
+  return Status::NotSupported(name() + " has no secondary index");
+}
+
+Status UnsupportedCompact(bool incremental) {
+  return Status::NotSupported(incremental
+                                  ? "COMPACT INCREMENTAL supports dualtable tables only"
+                                  : "COMPACT supports dualtable and acid tables only");
+}
+
+Result<CompactResult> StorageTable::ExecuteCompact(const CompactPlan& plan, obs::Tracer*) {
+  return UnsupportedCompact(plan.action == CompactAction::kIncremental);
 }
 
 Result<uint64_t> StorageTable::CountRows() {

@@ -12,6 +12,10 @@
 #include "table/row_batch.h"
 #include "table/spec.h"
 
+namespace dtl::obs {
+class Tracer;
+}  // namespace dtl::obs
+
 namespace dtl::table {
 
 /// Pull iterator over scan results. Rows are full schema width; columns
@@ -88,6 +92,10 @@ class RowToBatchAdapter : public BatchIterator {
   ScanMeter* meter_;
 };
 
+/// The status PlanCompact and ExecuteCompact return on storages without that
+/// compaction.
+Status UnsupportedCompact(bool incremental);
+
 /// A named table in some storage system.
 class StorageTable {
  public:
@@ -99,9 +107,44 @@ class StorageTable {
   /// Sequential scan honoring the spec (projection, predicate, pruning).
   virtual Result<std::unique_ptr<RowIterator>> Scan(const ScanSpec& spec) = 0;
 
-  /// Vectorized sequential scan. Default: the row scan repackaged through a
+  /// Pins the committed state every read of one statement shares. Default:
+  /// none; the scan, index and morsel calls below then read the latest state.
+  virtual PinnedReadPtr Pin() const { return nullptr; }
+
+  /// Vectorized sequential scan at `pin` (this table's Pin(), or null for
+  /// the latest state). Default: the row scan repackaged through a
   /// RowToBatchAdapter; storage systems with a native batch path override.
-  virtual Result<std::unique_ptr<BatchIterator>> ScanBatches(const ScanSpec& spec);
+  virtual Result<std::unique_ptr<BatchIterator>> ScanBatchesAt(const PinnedReadPtr& pin,
+                                                               const ScanSpec& spec);
+  /// ScanBatchesAt the latest state.
+  Result<std::unique_ptr<BatchIterator>> ScanBatches(const ScanSpec& spec) {
+    return ScanBatchesAt(nullptr, spec);
+  }
+  /// ScanBatchesAt's rows, one at a time.
+  Result<std::unique_ptr<RowIterator>> ScanAt(const PinnedReadPtr& pin,
+                                              const ScanSpec& spec);
+
+  /// Splits a scan at `pin` into morsels for parallel workers, covering
+  /// exactly what a serial scan reads. Default: one morsel, the whole table.
+  virtual Result<std::vector<ScanMorsel>> PlanScanMorselsAt(const PinnedReadPtr& pin,
+                                                            const ScanSpec& spec,
+                                                            size_t stripes_per_morsel);
+  /// Scans one morsel of PlanScanMorselsAt(pin, ...) into `meter` (a worker's
+  /// own; null for the global meter). Default: ScanBatchesAt(pin, spec).
+  virtual Result<std::unique_ptr<BatchIterator>> ScanMorselAt(const PinnedReadPtr& pin,
+                                                              const ScanMorsel& morsel,
+                                                              const ScanSpec& spec,
+                                                              ScanMeter* meter);
+
+  /// True when IndexLookupAt answers equality probes on `column`. Default:
+  /// no column is indexed.
+  virtual bool IndexesColumn(size_t column) const;
+  /// The rows at `pin` whose `column` equals one of `probes` and that pass
+  /// spec.predicate, as (record ID, row) pairs in scan order — what a scan
+  /// with `WHERE column IN (probes)` returns. Default: NotSupported.
+  virtual Result<std::vector<std::pair<uint64_t, Row>>> IndexLookupAt(
+      const PinnedReadPtr& pin, size_t column, const std::vector<Value>& probes,
+      const ScanSpec& spec);
 
   /// Appends rows (INSERT INTO / LOAD).
   virtual Status InsertRows(const std::vector<Row>& rows) = 0;
@@ -131,6 +174,18 @@ class StorageTable {
   /// DELETE FROM <table> WHERE <filter>: PlanDml, then ExecuteDml.
   Result<DmlResult> Delete(const ScanSpec& filter,
                            std::optional<double> ratio_hint = std::nullopt);
+
+  /// Plans one COMPACT [INCREMENTAL]: nothing to do, a full rewrite or an
+  /// incremental fold, and why. Takes no writer lock and writes nothing.
+  /// Default: NotSupported (UnsupportedCompact).
+  virtual Result<CompactPlan> PlanCompact(bool incremental) const {
+    return UnsupportedCompact(incremental);
+  }
+  /// Runs a planned COMPACT; the result names the action it executed (a
+  /// writer may have changed the table since the plan). `tracer` (optional)
+  /// receives the storage's compaction spans. Default: NotSupported.
+  virtual Result<CompactResult> ExecuteCompact(const CompactPlan& plan,
+                                               obs::Tracer* tracer = nullptr);
 
   /// Total number of live rows (post-merge view).
   virtual Result<uint64_t> CountRows();

@@ -114,25 +114,25 @@ TEST_F(BackgroundMaintenanceTest, FoldsDenseFileKeepsSparseFile) {
   ASSERT_TRUE(Bump(table->get(), 0, 180).ok());    // dense: 90% of file 1
   ASSERT_TRUE(Bump(table->get(), 200, 210).ok());  // sparse: 5% of file 2
 
-  auto before = (*table)->PreviewIncrementalCompaction();
+  auto before = (*table)->PlanCompact(/*incremental=*/true);
   ASSERT_TRUE(before.ok());
-  ASSERT_EQ(before->files.size(), 2u);
-  EXPECT_EQ(before->selected_files(), 1u);
-  EXPECT_EQ(before->total_delta_rows(), 190u);
-  const uint64_t dense_id = before->files[0].file_id;
-  const uint64_t sparse_id = before->files[1].file_id;
-  ASSERT_TRUE(before->files[0].selected);
-  ASSERT_FALSE(before->files[1].selected);
+  ASSERT_EQ(before->fold.files.size(), 2u);
+  EXPECT_EQ(before->fold.selected_files(), 1u);
+  EXPECT_EQ(before->fold.total_delta_rows(), 190u);
+  const uint64_t dense_id = before->fold.files[0].file_id;
+  const uint64_t sparse_id = before->fold.files[1].file_id;
+  ASSERT_TRUE(before->fold.files[0].selected);
+  ASSERT_FALSE(before->fold.files[1].selected);
 
   // One maintenance round folds the dense file and leaves the sparse one —
   // and its attached deltas — untouched.
   scheduler_->Quiesce();
-  auto after = (*table)->PreviewIncrementalCompaction();
+  auto after = (*table)->PlanCompact(/*incremental=*/true);
   ASSERT_TRUE(after.ok());
-  ASSERT_EQ(after->files.size(), 2u);
-  EXPECT_EQ(after->total_delta_rows(), 10u);
-  EXPECT_EQ(after->selected_files(), 0u);
-  for (const FileCompactionPlan& f : after->files) {
+  ASSERT_EQ(after->fold.files.size(), 2u);
+  EXPECT_EQ(after->fold.total_delta_rows(), 10u);
+  EXPECT_EQ(after->fold.selected_files(), 0u);
+  for (const table::FileCompactionPlan& f : after->fold.files) {
     EXPECT_NE(f.file_id, dense_id) << "dense file should have been replaced";
     if (f.file_id == sparse_id) {
       EXPECT_EQ(f.delta_rows, 10u);
@@ -145,12 +145,12 @@ TEST_F(BackgroundMaintenanceTest, FoldsDenseFileKeepsSparseFile) {
   // set nor the remaining deltas.
   scheduler_->Quiesce();
   scheduler_->Quiesce();
-  auto idle = (*table)->PreviewIncrementalCompaction();
+  auto idle = (*table)->PlanCompact(/*incremental=*/true);
   ASSERT_TRUE(idle.ok());
-  ASSERT_EQ(idle->files.size(), after->files.size());
-  for (size_t i = 0; i < idle->files.size(); ++i) {
-    EXPECT_EQ(idle->files[i].file_id, after->files[i].file_id);
-    EXPECT_EQ(idle->files[i].delta_rows, after->files[i].delta_rows);
+  ASSERT_EQ(idle->fold.files.size(), after->fold.files.size());
+  for (size_t i = 0; i < idle->fold.files.size(); ++i) {
+    EXPECT_EQ(idle->fold.files[i].file_id, after->fold.files[i].file_id);
+    EXPECT_EQ(idle->fold.files[i].delta_rows, after->fold.files[i].delta_rows);
   }
 
   // The folded update survived the rewrite; the sparse update still reads
@@ -184,11 +184,11 @@ TEST_F(BackgroundMaintenanceTest, ByteDebtFallbackRunsFullCompact) {
 
   scheduler_->Quiesce();
   EXPECT_FALSE((*table)->NeedsCompaction());
-  auto plan = (*table)->PreviewIncrementalCompaction();
+  auto plan = (*table)->PlanCompact(/*incremental=*/true);
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->total_delta_rows(), 0u);
+  EXPECT_EQ(plan->fold.total_delta_rows(), 0u);
   // Full COMPACT coalesces everything into one clean file.
-  EXPECT_EQ(plan->files.size(), 1u);
+  EXPECT_EQ(plan->fold.files.size(), 1u);
 
   auto it = (*table)->Scan(table::ScanSpec{});
   ASSERT_TRUE(it.ok());

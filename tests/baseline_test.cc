@@ -202,7 +202,9 @@ TEST_F(BaselineTest, AcidDeleteAndCompactions) {
   EXPECT_EQ(*(*t)->CountRows(), 450u);
 
   // Major compact: no deltas, same view, updates folded into base.
-  ASSERT_TRUE((*t)->MajorCompact().ok());
+  auto plan = (*t)->PlanCompact(/*incremental=*/false);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE((*t)->ExecuteCompact(*plan).ok());
   EXPECT_EQ((*t)->NumDeltaFiles(), 0u);
   EXPECT_EQ(*(*t)->CountRows(), 450u);
   auto check = table::CollectRows(t->get(), DayEquals(1));

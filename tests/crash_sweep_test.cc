@@ -823,10 +823,10 @@ TEST(CrashSweepTest, IncrementalCompactGenerationSwapWithPinnedSnapshot) {
     auto env = setup(&fs);
     ASSERT_NE(env, nullptr);
     // The dry run must exercise the partial-fold shape this sweep targets.
-    auto plan = env->table->PreviewIncrementalCompaction();
+    auto plan = env->table->PlanCompact(/*incremental=*/true);
     ASSERT_TRUE(plan.ok());
-    ASSERT_EQ(plan->files.size(), 2u);
-    ASSERT_EQ(plan->selected_files(), 1u);
+    ASSERT_EQ(plan->fold.files.size(), 2u);
+    ASSERT_EQ(plan->fold.selected_files(), 1u);
     const uint64_t before = fs.MutatingOpCount();
     auto stats = env->table->CompactIncremental();
     ASSERT_TRUE(stats.ok());
@@ -915,7 +915,10 @@ std::vector<Statement<AcidEnv>> AcidStatements() {
   statements.push_back({[](AcidEnv* env) { return env->table->MinorCompact(); },
                         [](State*) {}});
   statements.push_back(update(2, [](int64_t id) { return id % 2 == 0; }));
-  statements.push_back({[](AcidEnv* env) { return env->table->MajorCompact(); },
+  statements.push_back({[](AcidEnv* env) -> Status {
+                          DTL_ASSIGN_OR_RETURN(auto plan, env->table->PlanCompact(false));
+                          return env->table->ExecuteCompact(plan).status();
+                        },
                         [](State*) {}});
   return statements;
 }

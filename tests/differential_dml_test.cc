@@ -204,14 +204,14 @@ class DifferentialHarness {
 
   void StepIncrementalCompact() {
     SCOPED_TRACE(Where("incremental compact"));
-    auto plan = table_->PreviewIncrementalCompaction();
+    auto plan = table_->PlanCompact(/*incremental=*/true);
     ASSERT_TRUE(plan.ok());
     auto stats = table_->CompactIncremental();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     // The plan made outside the writer lock can lag a concurrent DML in
     // general, but this harness is single-threaded: what the preview selected
     // is exactly what the compact rewrote.
-    EXPECT_EQ(stats->files_selected, plan->selected_files());
+    EXPECT_EQ(stats->files_selected, plan->fold.selected_files());
   }
 
   void StepSnapshot() {

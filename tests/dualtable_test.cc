@@ -473,13 +473,65 @@ TEST_F(DualTableTest, MorselsCoverWholeTable) {
   uint64_t total = 0;
   for (const ScanMorsel& morsel : *morsels) {
     table::ScanMeter meter;
-    auto it = (*t)->NewUnionReadBatchForMorselAt(snapshot, morsel, all, &meter);
+    auto it = (*t)->ScanMorselAt(snapshot, morsel, all, &meter);
     ASSERT_TRUE(it.ok());
     table::RowBatch batch;
     while ((*it)->Next(&batch)) total += batch.size();
     ASSERT_TRUE((*it)->status().ok());
   }
   EXPECT_EQ(total, 300u);
+}
+
+TEST_F(DualTableTest, IncrementalCompactReplansOnlyWhenAWriteLands) {
+  DualTableOptions options;
+  options.plan_mode = DualTableOptions::PlanMode::kForceEdit;
+  options.incremental_density_override = 0.5;
+  auto t = OpenTable("t", options);
+  ASSERT_TRUE(t.ok());
+  for (int file = 0; file < 2; ++file) {
+    std::vector<Row> rows;
+    for (int i = 0; i < 100; ++i) rows.push_back(MakeRow(file * 100 + i));
+    ASSERT_TRUE((*t)->InsertRows(rows).ok());  // two master files
+  }
+  table::Assignment zero;
+  zero.column = 2;
+  zero.compute = [](const Row&) -> Result<Value> { return Value::Double(0); };
+  auto ids_in = [](int64_t lo, int64_t hi) {
+    table::ScanSpec spec;
+    spec.predicate_columns = {0};
+    spec.predicate = [lo, hi](const Row& row) {
+      return row[0].AsInt64() >= lo && row[0].AsInt64() < hi;
+    };
+    return spec;
+  };
+  const SnapshotTracker* snapshots = (*t)->snapshot_tracker();
+
+  // Unchanged since planning: the executor runs the plan it was given,
+  // without pinning a second snapshot to plan again.
+  ASSERT_TRUE((*t)->Update(ids_in(0, 80), {zero}).ok());
+  auto plan = (*t)->PlanCompact(/*incremental=*/true);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->action, table::CompactAction::kIncremental);
+  ASSERT_EQ(plan->fold.selected_files(), 1u);
+  uint64_t acquired = snapshots->acquired();
+  auto done = (*t)->ExecuteCompact(*plan);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  EXPECT_EQ(done->action, table::CompactAction::kIncremental);
+  EXPECT_EQ(snapshots->acquired(), acquired);
+
+  // A write between plan and execute: the files are selected again, so the
+  // second file, dense only since the plan, is folded too.
+  ASSERT_TRUE((*t)->Update(ids_in(0, 60), {zero}).ok());
+  plan = (*t)->PlanCompact(/*incremental=*/true);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->fold.selected_files(), 1u);
+  ASSERT_TRUE((*t)->Update(ids_in(100, 190), {zero}).ok());
+  acquired = snapshots->acquired();
+  auto stats = (*t)->CompactIncremental(nullptr, &*plan);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->files_selected, 2u);
+  EXPECT_EQ(snapshots->acquired(), acquired + 1);
+  EXPECT_TRUE((*t)->attached()->Empty());
 }
 
 TEST_F(DualTableTest, NeedsCompactionSignal) {

@@ -436,26 +436,80 @@ TEST(PlanOracleTest, ExplainListsTheOperatorsExplainAnalyzeRuns) {
   }
 }
 
-TEST_F(EngineTest, ExplainCompactReturnsTheStatusCompactReturns) {
-  Run("CREATE TABLE h (id BIGINT) STORED AS hive");
-  Run("CREATE TABLE hb (id BIGINT) STORED AS hbase");
-  Run("CREATE TABLE a (id BIGINT) STORED AS acid");
-  Run("INSERT INTO a VALUES (1), (2)");
-  for (const std::string compact :
-       {"COMPACT TABLE h", "COMPACT TABLE h INCREMENTAL", "COMPACT TABLE hb",
-        "COMPACT TABLE hb INCREMENTAL", "COMPACT TABLE a INCREMENTAL"}) {
-    auto explained = session_->Execute("EXPLAIN " + compact);
-    auto executed = session_->Execute(compact);
-    ASSERT_FALSE(executed.ok()) << compact;
-    EXPECT_TRUE(executed.status().IsNotSupported()) << compact;
-    ASSERT_FALSE(explained.ok()) << compact;
-    EXPECT_EQ(explained.status().ToString(), executed.status().ToString()) << compact;
+/// The plan EXPLAIN names on its `  plan: <PLAN> (...)` line (a DML plan or
+/// a COMPACT action); empty if none.
+std::string ExplainedDmlPlan(const QueryResult& explain) {
+  for (const Row& row : explain.rows) {
+    const std::string line = row[0].AsString();
+    if (line.rfind("  plan: ", 0) == 0) return line.substr(8, line.find(' ', 8) - 8);
   }
-  // ACID supports the full (major) compaction, and EXPLAIN says so.
-  auto plan = Run("EXPLAIN COMPACT TABLE a");
-  ASSERT_FALSE(plan.rows.empty());
-  EXPECT_NE(plan.rows[0][0].AsString().find("full rewrite"), std::string::npos);
-  Run("COMPACT TABLE a");
+  return "";
+}
+
+/// The plan an EXPLAIN ANALYZE trace names on its `execute(<PLAN>)` stage;
+/// empty if none.
+std::string TracedPlan(const QueryResult& analyze) {
+  for (const Row& row : analyze.rows) {
+    const std::string line = row[0].AsString();
+    const size_t at = line.find("execute(");
+    if (at != std::string::npos) return line.substr(at + 8, line.find(')', at) - at - 8);
+  }
+  return "";
+}
+
+TEST_F(EngineTest, ExplainCompactReturnsTheStatusCompactReturns) {
+  // Every storage kind, full and incremental, with deltas and then (the
+  // first COMPACT folded them) without: EXPLAIN names the plan EXPLAIN
+  // ANALYZE's `execute` stage runs and the result reports, and an
+  // unsupported COMPACT fails with one NotSupported status from both.
+  for (const std::string kind : {"dualtable", "hive", "hbase", "acid"}) {
+    for (const bool incremental : {false, true}) {
+      const std::string table = "t_" + kind + (incremental ? "_inc" : "_full");
+      Run("CREATE TABLE " + table + " (id BIGINT, v BIGINT) STORED AS " + kind);
+      Run("INSERT INTO " + table + " VALUES (1, 10), (2, 20), (3, 30)");
+      Run("UPDATE " + table + " SET v = 0 WITH RATIO 0.001");
+      const std::string compact =
+          "COMPACT TABLE " + table + (incremental ? " INCREMENTAL" : "");
+      const bool supported = kind == "dualtable" || (kind == "acid" && !incremental);
+      const std::string folds = incremental ? "INCREMENTAL" : "REWRITE";
+      for (const std::string& expected : {folds, std::string("NONE")}) {
+        SCOPED_TRACE(compact + ", expecting " + expected);
+        auto explained = session_->Execute("EXPLAIN " + compact);
+        auto analyzed = session_->Execute("EXPLAIN ANALYZE " + compact);
+        if (!supported) {
+          ASSERT_FALSE(analyzed.ok());
+          EXPECT_TRUE(analyzed.status().IsNotSupported());
+          ASSERT_FALSE(explained.ok());
+          EXPECT_EQ(explained.status().ToString(), analyzed.status().ToString());
+          break;
+        }
+        ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+        EXPECT_EQ(ExplainedDmlPlan(*explained), expected);
+        EXPECT_EQ(TracedPlan(*analyzed), expected);
+        EXPECT_EQ(analyzed->dml_plan, expected);
+      }
+      auto check = Run("SELECT SUM(v), COUNT(*) FROM " + table);
+      EXPECT_EQ(check.rows[0][0].AsInt64(), 0);
+      EXPECT_EQ(check.rows[0][1].AsInt64(), 3);
+    }
+  }
+}
+
+TEST_F(EngineTest, CompactOfNothingSaysNothingWasCompacted) {
+  // A DualTable whose attached table is empty and an ACID table without
+  // delta files have nothing to fold: EXPLAIN and COMPACT both say so.
+  Run("CREATE TABLE d (id BIGINT) STORED AS dualtable");
+  Run("CREATE TABLE a (id BIGINT) STORED AS acid");
+  for (const std::string table : {"d", "a"}) {
+    Run("INSERT INTO " + table + " VALUES (1), (2)");
+    EXPECT_EQ(ExplainedDmlPlan(Run("EXPLAIN COMPACT TABLE " + table)), "NONE");
+    auto result = Run("COMPACT TABLE " + table);
+    EXPECT_EQ(result.dml_plan, "NONE");
+    EXPECT_EQ(result.message.rfind("nothing to compact in table " + table, 0), 0u)
+        << result.message;
+    EXPECT_EQ(Run("SELECT COUNT(*) FROM " + table).rows[0][0].AsInt64(), 2);
+  }
 }
 
 TEST_F(EngineTest, ExplainDmlNamesThePlanEachStorageKindExecutes) {
@@ -474,15 +528,6 @@ TEST_F(EngineTest, ExplainDmlNamesThePlanEachStorageKindExecutes) {
       EXPECT_EQ(named, Run(dml).dml_plan) << dml;
     }
   }
-}
-
-/// The plan EXPLAIN names on its `  plan: <PLAN> (...)` line; empty if none.
-std::string ExplainedDmlPlan(const QueryResult& explain) {
-  for (const Row& row : explain.rows) {
-    const std::string line = row[0].AsString();
-    if (line.rfind("  plan: ", 0) == 0) return line.substr(8, line.find(' ', 8) - 8);
-  }
-  return "";
 }
 
 /// The value after `  <label>: ` on an EXPLAIN line, up to the next space;

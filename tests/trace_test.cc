@@ -172,6 +172,23 @@ TEST_F(ExplainAnalyzeTest, DmlTraceCarriesPlanAndResult) {
   EXPECT_EQ(check.rows.at(0).at(0).AsInt64(), 120);
 }
 
+TEST_F(ExplainAnalyzeTest, CompactTraceCarriesPlanAndResult) {
+  Run("UPDATE t SET v = 0 WITH RATIO 0.001");
+  auto result = Run("EXPLAIN ANALYZE COMPACT TABLE t INCREMENTAL");
+  std::vector<std::string> lines = Lines(result);
+  EXPECT_NE(FindLine(lines, 2, "compact"), std::string::npos);
+  // COMPACT records `bind`, then `execute` named by its plan, like DML; the
+  // fold's own spans nest under `execute`.
+  const size_t execute = FindLine(lines, 4, "execute(INCREMENTAL)");
+  EXPECT_EQ(execute, FindLine(lines, 4, "bind") + 1);
+  EXPECT_EQ(FindLine(lines, 6, "compact-plan"), execute + 1);
+  EXPECT_EQ(FindLine(lines, 6, "compact-rewrite"), execute + 2);
+  EXPECT_EQ(result.dml_plan, "INCREMENTAL");
+  EXPECT_NE(result.message.find("incremental compact of t"), std::string::npos);
+  auto check = Run("SELECT SUM(v) FROM t");
+  EXPECT_EQ(check.rows.at(0).at(0).AsInt64(), 0);
+}
+
 TEST_F(ExplainAnalyzeTest, PlainExplainStillDoesNotExecute) {
   Run("EXPLAIN UPDATE t SET v = 0 WHERE id <= 2");
   auto check = Run("SELECT SUM(v) FROM t");

@@ -138,8 +138,7 @@ TEST_F(UnionReadTest, PerFileMorselsSeeOnlyTheirModifications) {
   for (size_t s = 0; s < 2; ++s) {
     EXPECT_EQ((*morsels)[s].file_id, files[s].file_id);
     table::ScanMeter meter;
-    auto it = table_->NewUnionReadBatchForMorselAt(snapshot, (*morsels)[s],
-                                                   table::ScanSpec{}, &meter);
+    auto it = table_->ScanMorselAt(snapshot, (*morsels)[s], table::ScanSpec{}, &meter);
     ASSERT_TRUE(it.ok());
     int modified = 0;
     int rows = 0;
