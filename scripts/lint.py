@@ -53,12 +53,17 @@ Enforced invariants (see DESIGN.md §7):
                       chosen once, by the planner whose plan execution,
                       EXPLAIN and EXPLAIN ANALYZE all read, so no second
                       caller can re-derive (and drift from) the decision.
- 10. batch-currency   In src/sql and src/exec, RowBatch is the only operator
-                      currency: nothing names table::RowIterator or the
-                      BatchToRowAdapter / RowToBatchAdapter bridges, and
-                      nothing calls a row scan (->Scan( / .Scan( / ScanAt().
-                      Operators pull batches and rows materialize once, at
-                      the QueryResult boundary (exec::CollectBatches);
+ 10. batch-currency   RowBatch is the one scan currency. Across src/, no
+                      storage produces rows: nothing names the retired
+                      BatchToRowAdapter / RowToBatchAdapter bridges, no class
+                      derives from RowIterator (the one concrete row view
+                      over a BatchIterator), no virtual returns one, and no
+                      Scan(...) is overridden (StorageTable::ScanBatchesAt is
+                      the only scan virtual). In src/sql and src/exec,
+                      nothing names table::RowIterator or calls a row scan
+                      (->Scan( / .Scan( / ScanAt() either: operators pull
+                      batches and rows materialize once, at the QueryResult
+                      boundary (exec::CollectBatches);
                       ParallelScanner::CollectRows builds its rows from
                       batches and stays allowed.
  11. storage-neutral  src/exec and src/sql (except session.{h,cc}, the table
@@ -163,11 +168,17 @@ ONE_PLANNER_CALLS = (
 )
 FUNCTION_NAME_RE = re.compile(r"([A-Za-z_][\w:]*)\s*\(")
 
-# Rule 10: the row-at-a-time read surfaces the executor no longer touches.
+# Rule 10: no storage produces rows (all of src/), and the executor touches
+# no row-at-a-time read surface at all (src/sql, src/exec).
+ROW_PRODUCER_RE = re.compile(
+    r"\bBatchToRowAdapter\b|\bRowToBatchAdapter\b|"
+    r"[:,]\s*(?:(?:public|protected|private)\s+)?(?:(?:dtl::)?table::)?RowIterator\b"
+    r"(?!\s*[>:*&(])|"
+    r"\bvirtual\b[^;{()]*\bRowIterator\b|"
+    r"\bScan\s*\([^()]*\)\s*(?:const\s*)?override\b")  # may wrap: matched on the text
 BATCH_CURRENCY_DIRS = ("src/sql/", "src/exec/")
 ROW_READ_RE = re.compile(
-    r"\b(?:table::)?RowIterator\b|\bBatchToRowAdapter\b|\bRowToBatchAdapter\b|"
-    r"(?:->|\.)\s*Scan\s*\(|\bScanAt\s*\(")
+    r"\b(?:table::)?RowIterator\b|(?:->|\.)\s*Scan\s*\(|\bScanAt\s*\(")
 
 # Rule 11: the executor reaches storage only through table::StorageTable.
 STORAGE_NEUTRAL_DIRS = ("src/sql/", "src/exec/")
@@ -495,10 +506,22 @@ def check_file(path: Path, findings):
                                      f"{callee} called from {owner}; only "
                                      f"{planner} chooses {decision}"))
 
-    # Rule 10: batches are the only operator currency in the executor.
-    if rp.startswith(BATCH_CURRENCY_DIRS):
+    # Rule 10: batches are the one scan currency; at most one finding a line.
+    if rp.startswith("src/"):
+        flagged = set()
+        for m in ROW_PRODUCER_RE.finditer(text):
+            i = text[:m.start()].count("\n") + 1
+            if i in flagged:
+                continue
+            flagged.add(i)
+            token = " ".join(m.group(0).split())
+            findings.append((rp, i, "batch-currency",
+                             f"'{token}' produces rows; storages implement "
+                             "ScanBatchesAt and rows are the table::RowIterator "
+                             "view over it"))
         for i, line in enumerate(lines, 1):
-            m = ROW_READ_RE.search(line)
+            m = i not in flagged and rp.startswith(BATCH_CURRENCY_DIRS) and \
+                ROW_READ_RE.search(line)
             if m:
                 findings.append((rp, i, "batch-currency",
                                  f"'{m.group(0).strip()}' reads rows in the executor; "

@@ -14,62 +14,80 @@ constexpr int64_t kOpUpdate = 0;
 constexpr int64_t kOpDelete = 1;
 }  // namespace
 
-/// Merge-on-read iterator: base batch scan + preloaded delta map overlay.
-/// The base scan meters into `base_meter`, a private meter; only its pruning
-/// counters reach the caller's meter, when the scan ends.
-class AcidRowIterator : public table::RowIterator {
+/// Merge-on-read: each base batch with the preloaded delta map overlaid. A
+/// deleted record leaves the selection vector, an updated record replaces
+/// its whole row through copy-on-write columns, and the predicate then runs
+/// on the merged batch. The base scan meters into `base_meter`, a private
+/// meter; the caller's meter sees each emitted batch's rows and, when the
+/// scan ends, the base scan's pruning counters.
+class AcidBatchIterator : public table::BatchIterator {
  public:
-  AcidRowIterator(std::unique_ptr<table::ScanMeter> base_meter,
-                  std::unique_ptr<dual::MasterScanBatchIterator> base,
-                  AcidTable::DeltaMap deltas, table::ScanSpec spec)
+  AcidBatchIterator(std::unique_ptr<table::ScanMeter> base_meter,
+                    std::unique_ptr<dual::MasterScanBatchIterator> base,
+                    AcidTable::DeltaMap deltas, table::ScanSpec spec)
       : base_meter_(std::move(base_meter)),
         base_(std::move(base)),
         deltas_(std::move(deltas)),
         spec_(std::move(spec)) {}
-  ~AcidRowIterator() override {
-    (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter())
-        .Add(base_meter_->Snapshot().PruningOnly());
-  }
+  ~AcidBatchIterator() override { meter().Add(base_meter_->Snapshot().PruningOnly()); }
 
-  bool Next() override {
-    while (true) {
-      if (index_ >= batch_.size()) {
-        if (!base_->Next(&batch_)) {
-          status_ = base_->status();
-          return false;
-        }
-        index_ = 0;
+  bool Next(table::RowBatch* batch) override {
+    while (base_->Next(batch)) {
+      Overlay(batch);
+      if (spec_.predicate) {
+        batch->FilterSelected(spec_.predicate, &scratch_, base_meter_.get());
       }
-      const size_t i = index_++;
-      const uint64_t id = batch_.record_id(i);
-      auto it = deltas_.find(id);
-      if (it == deltas_.end()) {
-        batch_.MaterializeRow(i, &row_);
-      } else if (it->second.deleted) {
-        continue;
-      } else {
-        row_ = it->second.row;  // whole updated record replaces the base row
-      }
-      if (spec_.predicate && !spec_.predicate(row_)) continue;
-      record_id_ = id;
+      if (batch->empty()) continue;
+      meter().AddBatch(batch->size(), 0);
       return true;
     }
+    return false;
   }
 
-  const Row& row() const override { return row_; }
-  uint64_t record_id() const override { return record_id_; }
-  const Status& status() const override { return status_; }
+  const Status& status() const override { return base_->status(); }
 
  private:
+  table::ScanMeter& meter() {
+    return spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter();
+  }
+
+  /// Base batches are contiguous record-ID slices, so the deltas touching
+  /// one are a single range of the map.
+  void Overlay(table::RowBatch* batch) {
+    const size_t n = batch->num_rows();
+    if (deltas_.empty() || n == 0) return;
+    DTL_DCHECK(batch->contiguous_record_ids());
+    const uint64_t first_id = batch->record_id(0);
+    auto delta = deltas_.lower_bound(first_id);
+    if (delta == deltas_.end() || delta->first >= first_id + n) return;
+    std::vector<bool> deleted(n, false);
+    size_t num_deleted = 0;
+    for (; delta != deltas_.end() && delta->first < first_id + n; ++delta) {
+      const size_t idx = static_cast<size_t>(delta->first - first_id);
+      if (delta->second.deleted) {
+        deleted[idx] = true;
+        ++num_deleted;
+        continue;
+      }
+      const Row& row = delta->second.row;
+      for (size_t c = 0; c < row.size() && c < batch->num_columns(); ++c) {
+        batch->column(c).MakeMutable(n)[idx] = row[c];
+      }
+    }
+    if (num_deleted == 0) return;
+    std::vector<uint32_t> selection;
+    selection.reserve(n - num_deleted);
+    for (size_t i = 0; i < n; ++i) {
+      if (!deleted[i]) selection.push_back(static_cast<uint32_t>(i));
+    }
+    batch->SetSelection(std::move(selection));
+  }
+
   std::unique_ptr<table::ScanMeter> base_meter_;  // outlives base_
   std::unique_ptr<dual::MasterScanBatchIterator> base_;
   AcidTable::DeltaMap deltas_;
   table::ScanSpec spec_;
-  table::RowBatch batch_;
-  size_t index_ = 0;
-  Row row_;
-  uint64_t record_id_ = 0;
-  Status status_;
+  Row scratch_;
 };
 
 Result<std::shared_ptr<AcidTable>> AcidTable::Open(fs::SimFileSystem* fs,
@@ -152,7 +170,8 @@ Result<AcidTable::DeltaMap> AcidTable::LoadDeltas() const {
   return map;
 }
 
-Result<std::unique_ptr<table::RowIterator>> AcidTable::Scan(const table::ScanSpec& spec) {
+Result<std::unique_ptr<table::BatchIterator>> AcidTable::ScanBatchesAt(
+    const table::PinnedReadPtr&, const table::ScanSpec& spec) {
   DTL_ASSIGN_OR_RETURN(DeltaMap deltas, LoadDeltas());
   table::ScanSpec base_spec = spec;
   if (!deltas.empty()) {
@@ -167,7 +186,7 @@ Result<std::unique_ptr<table::RowIterator>> AcidTable::Scan(const table::ScanSpe
                                          base_spec, /*apply_predicate=*/false,
                                          table::kDefaultBatchRows,
                                          dual::StripeReads::kUncached));
-  return std::unique_ptr<table::RowIterator>(new AcidRowIterator(
+  return std::unique_ptr<table::BatchIterator>(new AcidBatchIterator(
       std::move(base_meter), std::move(base_it), std::move(deltas), spec));
 }
 
@@ -224,22 +243,19 @@ Result<table::DmlResult> AcidTable::ExecuteDml(const table::DmlSpec& spec,
   table::ScanSpec scan = spec.LocateSpec();
   if (update) scan.projection.clear();
   std::vector<Row> delta_rows;
-  {
-    DTL_ASSIGN_OR_RETURN(auto it, Scan(scan));
-    const size_t width = schema_.num_fields();
-    while (it->Next()) {
-      ++result.rows_matched;
-      Row delta;
-      delta.reserve(width + 2);
-      delta.push_back(Value::Int64(update ? kOpUpdate : kOpDelete));
-      delta.push_back(Value::Int64(static_cast<int64_t>(it->record_id())));
-      Row record = update ? it->row() : Row(width, Value::Null());
-      if (update) DTL_RETURN_NOT_OK(spec.Apply(&record).status());
-      delta.insert(delta.end(), record.begin(), record.end());
-      delta_rows.push_back(std::move(delta));
-    }
-    DTL_RETURN_NOT_OK(it->status());
-  }
+  const size_t width = schema_.num_fields();
+  DTL_RETURN_NOT_OK(table::ScanInternalRows(this, scan, [&](uint64_t id, const Row& row) {
+    ++result.rows_matched;
+    Row delta;
+    delta.reserve(width + 2);
+    delta.push_back(Value::Int64(update ? kOpUpdate : kOpDelete));
+    delta.push_back(Value::Int64(static_cast<int64_t>(id)));
+    Row record = update ? row : Row(width, Value::Null());
+    if (update) DTL_RETURN_NOT_OK(spec.Apply(&record).status());
+    delta.insert(delta.end(), record.begin(), record.end());
+    delta_rows.push_back(std::move(delta));
+    return Status::OK();
+  }));
   DTL_RETURN_NOT_OK(WriteDeltaFile(next_txn_++, delta_rows));
   return result;
 }
@@ -289,12 +305,9 @@ Result<table::CompactResult> AcidTable::ExecuteCompact(const table::CompactPlan&
   table::CompactResult result{table::CompactAction::kRewrite,
                               "folded " + std::to_string(delta_files_.size()) +
                                   " delta file(s) into a new base"};
-  table::ScanSpec all;
-  DTL_ASSIGN_OR_RETURN(auto it, Scan(all));
-
   dual::RollingFileWriter out(base_.get(), options_.rewrite_file_rows);
-  while (it->Next()) DTL_RETURN_NOT_OK(out.Append(it->row()));
-  DTL_RETURN_NOT_OK(it->status());
+  auto append = [&out](uint64_t, const Row& row) { return out.Append(row); };
+  DTL_RETURN_NOT_OK(table::ScanInternalRows(this, table::ScanSpec{}, append));
   DTL_RETURN_NOT_OK(out.Finish());
   DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(out.files())));
   std::vector<std::string> old = std::move(delta_files_);

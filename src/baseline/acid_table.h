@@ -36,7 +36,10 @@ class AcidTable : public table::StorageTable {
 
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
-  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
+  /// Merge-on-read of the latest state: the base scan with every delta
+  /// overlaid. Reads full rows while deltas exist.
+  Result<std::unique_ptr<table::BatchIterator>> ScanBatchesAt(
+      const table::PinnedReadPtr& pin, const table::ScanSpec& spec) override;
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 
@@ -95,7 +98,7 @@ class AcidTable : public table::StorageTable {
   std::vector<std::string> delta_files_;  // ascending txn order
   uint64_t next_txn_ = 1;
 
-  friend class AcidRowIterator;
+  friend class AcidBatchIterator;
 };
 
 }  // namespace dtl::baseline

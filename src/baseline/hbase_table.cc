@@ -1,6 +1,7 @@
 #include "baseline/hbase_table.h"
 
 #include "common/coding.h"
+#include "table/scan_stats.h"
 
 namespace dtl::baseline {
 
@@ -12,59 +13,57 @@ std::string RowKey(uint64_t id) {
   return key;
 }
 
-/// Materializes KV rows into relational rows, applying spec columns and
-/// predicate. Pays a per-cell decode on every scanned row — the structural
+/// Fills batches straight from KV rows: every required cell decodes into an
+/// owned column, the predicate runs per record, and record IDs come from the
+/// row keys. Pays a per-cell decode on every scanned row — the structural
 /// reason Hive(HBase) loses batch-read benchmarks.
-class HBaseRowIterator : public table::RowIterator {
+class HBaseBatchIterator : public table::BatchIterator {
  public:
-  HBaseRowIterator(std::unique_ptr<kv::RowScanner> rows, table::ScanSpec spec,
-                   size_t num_fields)
-      : rows_(std::move(rows)), spec_(std::move(spec)), num_fields_(num_fields) {
-    required_ = spec_.RequiredColumns(num_fields_);
-    needed_.assign(num_fields_, false);
+  HBaseBatchIterator(std::unique_ptr<kv::RowScanner> rows, table::ScanSpec spec,
+                     size_t num_fields)
+      : rows_(std::move(rows)),
+        spec_(std::move(spec)),
+        required_(spec_.RequiredColumns(num_fields)),
+        needed_(num_fields, false) {
     for (size_t c : required_) needed_[c] = true;
   }
 
-  bool Next() override {
-    while (rows_->Next()) {
+  bool Next(table::RowBatch* batch) override {
+    const size_t num_fields = needed_.size();
+    std::vector<std::vector<Value>> columns(num_fields);
+    std::vector<uint64_t> ids;
+    while (ids.size() < table::kDefaultBatchRows && rows_->Next()) {
       const kv::RowView& view = rows_->view();
       if (view.row.size() != 8) continue;  // non-data row
-      row_.assign(num_fields_, Value::Null());
-      bool bad = false;
+      row_.assign(num_fields, Value::Null());
       for (const kv::Cell& cell : view.cells) {
-        if (cell.key.qualifier >= num_fields_) continue;
-        if (!needed_[cell.key.qualifier]) continue;
+        if (cell.key.qualifier >= num_fields || !needed_[cell.key.qualifier]) continue;
         Slice in(cell.value.value);
-        Value v;
-        Status st = Value::DecodeFrom(&in, &v);
-        if (!st.ok()) {
-          status_ = st;
-          bad = true;
-          break;
-        }
-        row_[cell.key.qualifier] = std::move(v);
+        status_ = Value::DecodeFrom(&in, &row_[cell.key.qualifier]);
+        if (!status_.ok()) return false;
       }
-      if (bad) return false;
       if (spec_.predicate && !spec_.predicate(row_)) continue;
-      record_id_ = DecodeBigEndian64(view.row.data());
-      return true;
+      for (size_t c : required_) columns[c].push_back(std::move(row_[c]));
+      ids.push_back(DecodeBigEndian64(view.row.data()));
     }
-    status_ = rows_->status();
-    return false;
+    if (!rows_->status().ok()) status_ = rows_->status();
+    if (ids.empty() || !status_.ok()) return false;
+    batch->Reset(num_fields, ids.size());
+    for (size_t c : required_) batch->column(c).SetOwned(std::move(columns[c]));
+    (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter())
+        .AddBatch(ids.size(), 0);
+    batch->SetRecordIds(std::move(ids));
+    return true;
   }
 
-  const Row& row() const override { return row_; }
-  uint64_t record_id() const override { return record_id_; }
   const Status& status() const override { return status_; }
 
  private:
   std::unique_ptr<kv::RowScanner> rows_;
   table::ScanSpec spec_;
-  size_t num_fields_;
   std::vector<size_t> required_;
   std::vector<bool> needed_;
   Row row_;
-  uint64_t record_id_ = 0;
   Status status_;
 };
 
@@ -102,9 +101,10 @@ Result<uint64_t> HBaseTable::NextRowId() {
   return next_row_id_++;
 }
 
-Result<std::unique_ptr<table::RowIterator>> HBaseTable::Scan(const table::ScanSpec& spec) {
-  return std::unique_ptr<table::RowIterator>(
-      new HBaseRowIterator(store_->NewRowScanner(), spec, schema_.num_fields()));
+Result<std::unique_ptr<table::BatchIterator>> HBaseTable::ScanBatchesAt(
+    const table::PinnedReadPtr&, const table::ScanSpec& spec) {
+  return std::unique_ptr<table::BatchIterator>(
+      new HBaseBatchIterator(store_->NewRowScanner(), spec, schema_.num_fields()));
 }
 
 Status HBaseTable::InsertRows(const std::vector<Row>& rows) {
@@ -143,15 +143,13 @@ Result<table::DmlResult> HBaseTable::ExecuteDml(const table::DmlSpec& spec,
   // Phase 1: collect the matches and their new values (cannot write into a
   // live scan, and every SET value is computed before the first write).
   std::vector<std::pair<uint64_t, std::vector<Value>>> matches;
-  {
-    DTL_ASSIGN_OR_RETURN(auto it, Scan(spec.LocateSpec()));
-    std::vector<Value> values;
-    while (it->Next()) {
-      DTL_RETURN_NOT_OK(spec.ComputeSet(it->row(), &values));
-      matches.emplace_back(it->record_id(), values);
-    }
-    DTL_RETURN_NOT_OK(it->status());
-  }
+  std::vector<Value> values;
+  DTL_RETURN_NOT_OK(table::ScanInternalRows(
+      this, spec.LocateSpec(), [&](uint64_t id, const Row& row) {
+        DTL_RETURN_NOT_OK(spec.ComputeSet(row, &values));
+        matches.emplace_back(id, values);
+        return Status::OK();
+      }));
   result.rows_matched = matches.size();
   result.rows_scanned = matches.size();  // the scan filters in the store
   // Phase 2: put only the changed cells, or tombstone the rows.

@@ -333,8 +333,7 @@ Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAsOf(
     const table::ScanSpec& spec, uint64_t as_of) {
   DTL_ASSIGN_OR_RETURN(
       auto it, NewUnionReadBatch(AcquireSnapshot(), spec, StripeReads::kCached, as_of));
-  return std::unique_ptr<table::RowIterator>(
-      std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
+  return std::make_unique<table::RowIterator>(std::move(it), spec.meter);
 }
 
 Status DualTable::ScanInternal(const SnapshotPtr& snapshot, const table::ScanSpec& spec,
@@ -422,7 +421,7 @@ table::DmlPlanChoice DualTable::PlanDml(table::DmlKind kind,
       choice.ratio = std::clamp(*hist, 0.0, 1.0);
       choice.ratio_source = table::RatioSource::kHistory;
     } else {
-      choice.ratio = options_.default_modification_ratio;
+      choice.ratio = kDefaultModificationRatio;
       choice.ratio_source = table::RatioSource::kDefault;
     }
   }
@@ -1008,7 +1007,7 @@ const char* DualTable::AdaptiveTriggerReason() {
     const uint64_t now_us = clock->NowMicros();
     union_read_seconds_hist_->MaybeRotate(now_us);
     const obs::HistogramSnapshot window = union_read_seconds_hist_->WindowSnapshot(
-        static_cast<uint64_t>(options_.adaptive_window_seconds * 1e6), now_us);
+        static_cast<uint64_t>(kAdaptiveWindowSeconds * 1e6), now_us);
     window_count = window.count;
     p95_us = window.ValueAtQuantile(0.95);
     if (maint_p95_gauge_ != nullptr) {

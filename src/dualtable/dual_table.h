@@ -48,6 +48,12 @@ struct IncrementalCompactStats {
   std::string ToString() const;
 };
 
+/// Modification ratio the cost model plans with when a statement carries no
+/// hint and the metadata table has no history yet.
+inline constexpr double kDefaultModificationRatio = 0.01;
+/// How far back adaptive maintenance's latency window looks.
+inline constexpr double kAdaptiveWindowSeconds = 8.0;
+
 struct DualTableOptions {
   orc::WriterOptions writer_options;
   kv::KvStoreOptions attached_options;  // dir is derived from the table name
@@ -62,10 +68,6 @@ struct DualTableOptions {
   /// Rows per master file written by OVERWRITE/COMPACT (keeps per-file
   /// parallelism comparable to the pre-rewrite layout).
   uint64_t rewrite_file_rows = 1ull << 20;
-
-  /// Fallback modification ratio when a statement carries no hint and the
-  /// metadata table has no history yet.
-  double default_modification_ratio = 0.01;
 
   /// When the attached table holds at least this fraction of master bytes,
   /// Scan suggests compaction (surfaced via NeedsCompaction()).
@@ -118,8 +120,6 @@ struct DualTableOptions {
   /// Latency trigger: fires when the union-read wall-seconds p95 over the
   /// window exceeds this.
   double adaptive_latency_slo_seconds = 0.050;
-  /// How far back the latency window looks.
-  double adaptive_window_seconds = 8.0;
   /// Minimum observations inside the window before the latency trigger may
   /// fire (a p95 of three reads is noise).
   uint64_t adaptive_min_window_count = 16;
@@ -163,9 +163,6 @@ class DualTable : public table::StorageTable {
   // --- StorageTable interface ---
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
-  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override {
-    return ScanAt(nullptr, spec);
-  }
   /// AcquireSnapshot().
   table::PinnedReadPtr Pin() const override { return AcquireSnapshot(); }
   /// UNION READ at `pin` (an AcquireSnapshot() of this table; null acquires

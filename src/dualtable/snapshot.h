@@ -93,14 +93,6 @@ struct Snapshot : table::PinnedRead {
     if (tracker != nullptr) tracker->OnRelease(tracker_token);
   }
 
-  /// The commit timestamp this snapshot reads at (ISSUE naming:
-  /// kv_read_timestamp). Writes stamped later are invisible.
-  uint64_t kv_read_timestamp() const { return attached.read_ts; }
-  /// The pinned manifest generation number.
-  uint64_t manifest_generation() const {
-    return generation == nullptr ? 0 : generation->number();
-  }
-
   std::shared_ptr<SnapshotTracker> tracker;
   uint64_t tracker_token = 0;
 };

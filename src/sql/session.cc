@@ -54,14 +54,10 @@ Result<std::unique_ptr<Session>> Session::Create(SessionOptions options) {
     session->RegisterSessionViews();
 
     obs::QueryLogOptions log_options;
-    log_options.capacity = session->options_.query_log_capacity;
     log_options.slow_threshold_seconds = session->options_.slow_query_seconds;
     session->query_log_ =
         std::make_unique<obs::QueryLog>(log_options, &session->metrics_);
     obs::RecorderOptions rec_options;
-    rec_options.capacity = session->options_.recorder_capacity;
-    rec_options.window_us = static_cast<uint64_t>(
-        session->options_.recorder_window_seconds * 1e6);
     rec_options.clock = session->options_.telemetry_clock;
     session->recorder_ =
         std::make_unique<obs::MetricsRecorder>(&session->metrics_, rec_options);

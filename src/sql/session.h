@@ -50,14 +50,9 @@ struct SessionOptions {
   /// meter. Off = none of it is connected, which is the bench baseline for
   /// the instrumentation-overhead contract (DESIGN.md §10).
   bool observability = true;
-  /// Structured query-log depth and slow-statement threshold (seconds; <= 0
+  /// Slow-statement threshold of the structured query log (seconds; <= 0
   /// never flags). Wired only when `observability` is on.
-  size_t query_log_capacity = 256;
   double slow_query_seconds = 0.1;
-  /// Metrics-recorder sample-ring depth and the window (seconds) behind the
-  /// windowed percentiles in SHOW STATS HISTOGRAMS and adaptive maintenance.
-  size_t recorder_capacity = 240;
-  double recorder_window_seconds = 10.0;
   /// Telemetry clock for window rotation and recorder timestamps (not
   /// owned; must outlive the session). Null = process steady clock. Tests
   /// install a ManualTelemetryClock for deterministic rotation.

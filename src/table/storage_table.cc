@@ -8,44 +8,15 @@
 
 namespace dtl::table {
 
-// --- adapters ---------------------------------------------------------------------
-
-bool BatchToRowAdapter::Next() {
-  while (true) {
-    if (!loaded_ || index_ >= batch_.size()) {
-      loaded_ = false;
-      if (!batches_->Next(&batch_)) return false;
-      if (batch_.empty()) continue;  // producers shouldn't emit these; be safe
-      loaded_ = true;
-      index_ = 0;
-    }
-    batch_.MaterializeRow(index_, &row_);
-    record_id_ = batch_.record_id(index_);
-    ++index_;
-    (meter_ != nullptr ? *meter_ : GlobalScanMeter()).AddMaterializedRows(1);
-    return true;
+bool RowIterator::Next() {
+  while (index_ >= batch_.size()) {
+    if (!batches_->Next(&batch_)) return false;
+    index_ = 0;
   }
-}
-
-bool RowToBatchAdapter::Next(RowBatch* batch) {
-  std::vector<std::vector<Value>> columns(num_columns_);
-  std::vector<uint64_t> ids;
-  size_t n = 0;
-  while (n < capacity_ && rows_->Next()) {
-    const Row& row = rows_->row();
-    for (size_t c = 0; c < num_columns_; ++c) {
-      columns[c].push_back(c < row.size() ? row[c] : Value::Null());
-    }
-    ids.push_back(rows_->record_id());
-    ++n;
-  }
-  if (n == 0) return false;
-  batch->Reset(num_columns_, n);
-  for (size_t c = 0; c < num_columns_; ++c) {
-    batch->column(c).SetOwned(std::move(columns[c]));
-  }
-  batch->SetRecordIds(std::move(ids));
-  (meter_ != nullptr ? *meter_ : GlobalScanMeter()).AddBatch(n, 0);
+  batch_.MaterializeRow(index_, &row_);
+  record_id_ = batch_.record_id(index_);
+  ++index_;
+  (meter_ != nullptr ? *meter_ : GlobalScanMeter()).AddMaterializedRows(1);
   return true;
 }
 
@@ -202,17 +173,10 @@ std::vector<size_t> ScanSpec::RequiredColumns(size_t num_fields) const {
   return required;
 }
 
-Result<std::unique_ptr<BatchIterator>> StorageTable::ScanBatchesAt(const PinnedReadPtr&,
-                                                                   const ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(auto it, Scan(spec));
-  return std::unique_ptr<BatchIterator>(new RowToBatchAdapter(
-      std::move(it), schema().num_fields(), kDefaultBatchRows, spec.meter));
-}
-
 Result<std::unique_ptr<RowIterator>> StorageTable::ScanAt(const PinnedReadPtr& pin,
                                                           const ScanSpec& spec) {
   DTL_ASSIGN_OR_RETURN(auto it, ScanBatchesAt(pin, spec));
-  return std::unique_ptr<RowIterator>(new BatchToRowAdapter(std::move(it), spec.meter));
+  return std::make_unique<RowIterator>(std::move(it), spec.meter);
 }
 
 Result<std::vector<ScanMorsel>> StorageTable::PlanScanMorselsAt(const PinnedReadPtr&,
@@ -249,11 +213,12 @@ Result<CompactResult> StorageTable::ExecuteCompact(const CompactPlan& plan, obs:
 Result<uint64_t> StorageTable::CountRows() {
   ScanSpec spec;
   // Project the narrowest single column; counting does not need data, but a
-  // scan must materialize something.
+  // scan must decode something.
   spec.projection = {0};
-  DTL_ASSIGN_OR_RETURN(auto it, Scan(spec));
+  DTL_ASSIGN_OR_RETURN(auto it, ScanBatches(spec));
+  RowBatch batch;
   uint64_t count = 0;
-  while (it->Next()) ++count;
+  while (it->Next(&batch)) count += batch.size();
   DTL_RETURN_NOT_OK(it->status());
   return count;
 }
@@ -264,6 +229,22 @@ Result<std::vector<Row>> CollectRows(StorageTable* table, const ScanSpec& spec) 
   while (it->Next()) rows.push_back(it->row());
   DTL_RETURN_NOT_OK(it->status());
   return rows;
+}
+
+Status ScanInternalRows(StorageTable* table, const ScanSpec& spec,
+                        const std::function<Status(uint64_t, const Row&)>& consume) {
+  ScanMeter statement_meter;
+  ScanSpec local = spec;
+  local.meter = &statement_meter;
+  {
+    // Scoped: a scan may fold its counters into the meter when it ends.
+    DTL_ASSIGN_OR_RETURN(auto rows, table->Scan(local));
+    while (rows->Next()) DTL_RETURN_NOT_OK(consume(rows->record_id(), rows->row()));
+    DTL_RETURN_NOT_OK(rows->status());
+  }
+  (spec.meter != nullptr ? *spec.meter : GlobalScanMeter())
+      .Add(statement_meter.Snapshot().PruningOnly());
+  return Status::OK();
 }
 
 }  // namespace dtl::table

@@ -2,6 +2,7 @@
 // The SQL executor, the benches, and the examples talk only to this.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,23 +19,10 @@ class Tracer;
 
 namespace dtl::table {
 
-/// Pull iterator over scan results. Rows are full schema width; columns
-/// outside the scan's required set are NULL.
-class RowIterator {
- public:
-  virtual ~RowIterator() = default;
-
-  /// Advances; false at end or error (check status()).
-  virtual bool Next() = 0;
-  virtual const Row& row() const = 0;
-  /// DualTable record ID of the current row; 0 for systems without one.
-  virtual uint64_t record_id() const { return 0; }
-  virtual const Status& status() const = 0;
-};
-
-/// Pull iterator over scan results in column-major batches — the vectorized
-/// sibling of RowIterator. Producers fill the caller's batch (so one batch's
-/// storage is reused across the scan) and never emit empty batches.
+/// Pull iterator over scan results in column-major batches — the one scan
+/// currency of every storage system. Producers fill the caller's batch (so
+/// one batch's storage is reused across the scan) and never emit empty
+/// batches.
 class BatchIterator {
  public:
   virtual ~BatchIterator() = default;
@@ -47,49 +35,31 @@ class BatchIterator {
 
 class ScanMeter;
 
-/// Presents a BatchIterator as a RowIterator: materializes one (reused) row
-/// at a time. This is how row-at-a-time consumers (joins, aggregates, sorts)
-/// ride the batch read path unchanged.
-/// `meter` defaults to the process-global scan meter when null.
-class BatchToRowAdapter : public RowIterator {
+/// A scan's rows, one at a time: a view over its BatchIterator that
+/// materializes one (reused) full-width row per visible batch row. Only the
+/// scan's required columns are defined; the others read as NULL unless the
+/// storage read them anyway. Each row is charged to `meter` (the
+/// process-global scan meter when null) as a materialized row.
+class RowIterator {
  public:
-  explicit BatchToRowAdapter(std::unique_ptr<BatchIterator> batches,
-                             ScanMeter* meter = nullptr)
+  RowIterator(std::unique_ptr<BatchIterator> batches, ScanMeter* meter)
       : batches_(std::move(batches)), meter_(meter) {}
 
-  bool Next() override;
-  const Row& row() const override { return row_; }
-  uint64_t record_id() const override { return record_id_; }
-  const Status& status() const override { return batches_->status(); }
+  /// Advances; false at end or error (check status()).
+  bool Next();
+  const Row& row() const { return row_; }
+  /// Record ID of the current row (DualTable's, or the storage's own row
+  /// key); 0 for systems without one.
+  uint64_t record_id() const { return record_id_; }
+  const Status& status() const { return batches_->status(); }
 
  private:
   std::unique_ptr<BatchIterator> batches_;
   ScanMeter* meter_;
   RowBatch batch_;
   size_t index_ = 0;
-  bool loaded_ = false;
   Row row_;
   uint64_t record_id_ = 0;
-};
-
-/// Presents a RowIterator as a BatchIterator by buffering up to `capacity`
-/// rows per batch (owned columns). Default ScanBatches() for storage systems
-/// without a native batch path. `meter` defaults to the global meter.
-class RowToBatchAdapter : public BatchIterator {
- public:
-  RowToBatchAdapter(std::unique_ptr<RowIterator> rows, size_t num_columns,
-                    size_t capacity = kDefaultBatchRows, ScanMeter* meter = nullptr)
-      : rows_(std::move(rows)), num_columns_(num_columns), capacity_(capacity),
-        meter_(meter) {}
-
-  bool Next(RowBatch* batch) override;
-  const Status& status() const override { return rows_->status(); }
-
- private:
-  std::unique_ptr<RowIterator> rows_;
-  size_t num_columns_;
-  size_t capacity_;
-  ScanMeter* meter_;
 };
 
 /// The status PlanCompact and ExecuteCompact return on storages without that
@@ -104,18 +74,15 @@ class StorageTable {
   virtual const std::string& name() const = 0;
   virtual const Schema& schema() const = 0;
 
-  /// Sequential scan honoring the spec (projection, predicate, pruning).
-  virtual Result<std::unique_ptr<RowIterator>> Scan(const ScanSpec& spec) = 0;
-
   /// Pins the committed state every read of one statement shares. Default:
   /// none; the scan, index and morsel calls below then read the latest state.
   virtual PinnedReadPtr Pin() const { return nullptr; }
 
-  /// Vectorized sequential scan at `pin` (this table's Pin(), or null for
-  /// the latest state). Default: the row scan repackaged through a
-  /// RowToBatchAdapter; storage systems with a native batch path override.
+  /// Sequential scan at `pin` (this table's Pin(), or null for the latest
+  /// state) honoring the spec (projection, predicate, pruning). The only
+  /// scan every storage system implements.
   virtual Result<std::unique_ptr<BatchIterator>> ScanBatchesAt(const PinnedReadPtr& pin,
-                                                               const ScanSpec& spec);
+                                                               const ScanSpec& spec) = 0;
   /// ScanBatchesAt the latest state.
   Result<std::unique_ptr<BatchIterator>> ScanBatches(const ScanSpec& spec) {
     return ScanBatchesAt(nullptr, spec);
@@ -123,6 +90,10 @@ class StorageTable {
   /// ScanBatchesAt's rows, one at a time.
   Result<std::unique_ptr<RowIterator>> ScanAt(const PinnedReadPtr& pin,
                                               const ScanSpec& spec);
+  /// ScanAt the latest state.
+  Result<std::unique_ptr<RowIterator>> Scan(const ScanSpec& spec) {
+    return ScanAt(nullptr, spec);
+  }
 
   /// Splits a scan at `pin` into morsels for parallel workers, covering
   /// exactly what a serial scan reads. Default: one morsel, the whole table.
@@ -188,7 +159,7 @@ class StorageTable {
                                                obs::Tracer* tracer = nullptr);
 
   /// Total number of live rows (post-merge view).
-  virtual Result<uint64_t> CountRows();
+  Result<uint64_t> CountRows();
 
   /// Removes all backing storage.
   virtual Status Drop() = 0;
@@ -199,5 +170,12 @@ Status UnsupportedDmlPlan(const std::string& table, DmlPlan plan);
 
 /// Drains a scan into memory (tests/examples; not for big tables).
 Result<std::vector<Row>> CollectRows(StorageTable* table, const ScanSpec& spec);
+
+/// Drains a statement-internal scan (a DML locate, a COMPACT rewrite) of
+/// `table` into `consume`, row by row with its record ID. Rows and bytes go
+/// to a statement-local meter; only its pruning counters reach spec.meter or
+/// the global meter, so the statement's caller meters its own scan.
+Status ScanInternalRows(StorageTable* table, const ScanSpec& spec,
+                        const std::function<Status(uint64_t, const Row&)>& consume);
 
 }  // namespace dtl::table

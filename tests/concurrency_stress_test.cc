@@ -538,7 +538,9 @@ TEST(SnapshotStabilityStressTest, SnapshotIsByteStableAcrossEditsAndCompact) {
   std::thread writer([&table, &done] {
     for (int round = 0; round < 110; ++round) {  // >= 100 EDIT statements
       ASSERT_TRUE(StressUpdate(table->get(), 5, round % 5, 0.5).ok());
-      if (round == 55) ASSERT_TRUE((*table)->Compact().ok());
+      if (round == 55) {
+        ASSERT_TRUE((*table)->Compact().ok());
+      }
     }
     done.store(true, std::memory_order_release);
   });

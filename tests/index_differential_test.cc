@@ -252,7 +252,9 @@ class IndexDifferentialHarness {
     uint64_t prev_rid = 0;
     bool first = true;
     for (const auto& [rid, row] : *looked) {
-      if (!first) ASSERT_LT(prev_rid, rid) << "index path emitted out of rid order";
+      if (!first) {
+        ASSERT_LT(prev_rid, rid) << "index path emitted out of rid order";
+      }
       prev_rid = rid;
       first = false;
       index_order.push_back(dtl::RowToString(row));

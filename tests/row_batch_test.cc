@@ -298,7 +298,7 @@ TEST_F(BatchScanTest, BatchPathMatchesModelOfInsertsAndPuts) {
     if (spec.predicate(row)) expected.emplace_back(rid, row);
   }
 
-  auto batch_scan = table_->Scan(spec);  // batch path + adapter
+  auto batch_scan = table_->Scan(spec);  // the row view over the batch scan
   ASSERT_TRUE(batch_scan.ok());
   auto batch_rows = Drain(batch_scan->get());
   ASSERT_EQ(expected.size(), batch_rows.size());
@@ -308,31 +308,6 @@ TEST_F(BatchScanTest, BatchPathMatchesModelOfInsertsAndPuts) {
     for (size_t c = 0; c < expected[i].second.size(); ++c) {
       EXPECT_EQ(expected[i].second[c].Compare(batch_rows[i].second[c]), 0)
           << "row " << i << " col " << c;
-    }
-  }
-}
-
-TEST_F(BatchScanTest, RowBatchAdapterRoundTripPreservesRowsAndIds) {
-  Open(10, 4);
-  InsertSequential(33);
-  ScanSpec spec;
-  // Rows -> batches -> rows must equal the rows directly.
-  auto direct = table_->Scan(spec);
-  ASSERT_TRUE(direct.ok());
-  auto direct_rows = Drain(direct->get());
-  ASSERT_EQ(direct_rows.size(), 33u);
-
-  auto inner = table_->Scan(spec);
-  ASSERT_TRUE(inner.ok());
-  auto round_trip = std::make_unique<BatchToRowAdapter>(
-      std::make_unique<RowToBatchAdapter>(std::move(*inner),
-                                          table_->schema().num_fields(), 5));
-  auto rt_rows = Drain(round_trip.get());
-  ASSERT_EQ(direct_rows.size(), rt_rows.size());
-  for (size_t i = 0; i < direct_rows.size(); ++i) {
-    EXPECT_EQ(direct_rows[i].first, rt_rows[i].first);
-    for (size_t c = 0; c < direct_rows[i].second.size(); ++c) {
-      EXPECT_EQ(direct_rows[i].second[c].Compare(rt_rows[i].second[c]), 0);
     }
   }
 }

@@ -517,7 +517,7 @@ TEST_F(EngineTest, ExplainDmlNamesThePlanEachStorageKindExecutes) {
     const std::string table = "t_" + kind;
     Run("CREATE TABLE " + table + " (id BIGINT, v BIGINT) STORED AS " + kind);
     Run("INSERT INTO " + table + " VALUES (1, 10), (2, 20), (3, 30)");
-    for (const std::string dml :
+    for (const std::string& dml :
          {"UPDATE " + table + " SET v = 0 WHERE id = 1", "DELETE FROM " + table + " WHERE id = 2"}) {
       std::string named;
       for (const Row& row : Run("EXPLAIN " + dml).rows) {
@@ -560,7 +560,9 @@ TEST_F(EngineTest, UpdateRejectsAValueItsColumnCannotStore) {
     }
     for (const auto& [hint, plan] : hinted) {
       const std::string update = "UPDATE " + table + " SET v = 'abc' WHERE id = 1" + hint;
-      if (!plan.empty()) EXPECT_EQ(ExplainedDmlPlan(Run("EXPLAIN " + update)), plan);
+      if (!plan.empty()) {
+        EXPECT_EQ(ExplainedDmlPlan(Run("EXPLAIN " + update)), plan);
+      }
       auto updated = session_->Execute(update);
       ASSERT_FALSE(updated.ok()) << update;
       EXPECT_EQ(updated.status().ToString(), inserted.status().ToString()) << update;
